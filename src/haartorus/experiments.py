@@ -28,8 +28,8 @@ from .haar import HaarCoeffs, coeff_inner, haar_synthesize
 from .shifts import apply_sj, operator_matrix, ShiftOperator
 from .torus import (
     ARC_NS,
-    arc_average,
-    arc_exp_integral,
+    arc_averages,
+    arc_integrals,
     embed_variable,
     inner_product,
     quarter_arc_project,
@@ -162,20 +162,17 @@ def fitted_wave_constant(N):
 # duality pairing engine
 #
 # Every expectation over the product of tori factors through the quarter-arc
-# sigma-algebra coordinate by coordinate. A factor is ("arc", vec, flat) for
-# arc-constant functions (vec holds the four values) or ("polyarc", vec, flat)
-# for a trig polynomial reduced to per-arc integrals against the normalized
-# measure. flat keeps the unsummed contributions so that a lone mean-zero
-# factor evaluates to an exact 0.0 via compensated summation.
+# sigma-algebra coordinate by coordinate. A factor is ("arc", vec, total) for
+# arc-constant functions (vec holds the four values) or ("polyarc", vec,
+# total) for a trig polynomial reduced to per-arc integrals against the
+# normalized measure. total is the compensated sum of the unsummed
+# contributions, taken once when the factor is built, so that a lone
+# mean-zero factor evaluates to an exact 0.0.
 
 
 def _fsum_complex(values):
-    return complex(
-        math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
-    )
-
-
-_ARC_POS = {n: idx for idx, n in enumerate(ARC_NS)}
+    values = np.asarray(values, dtype=np.complex128).ravel()
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -187,14 +184,14 @@ def _pattern_vec(kind):
 @lru_cache(maxsize=None)
 def _pattern_factor(sign):
     vec = _pattern_vec(_wave_kind(sign))
-    return ("arc", np.array(vec, dtype=np.complex128), tuple(map(complex, vec)))
+    return ("arc", np.array(vec, dtype=np.complex128), _fsum_complex(vec))
 
 
 @lru_cache(maxsize=None)
 def _indicator_factor(outcome, prev_outcome):
     pattern = _pattern_vec(_wave_kind(prev_outcome))
     vec = tuple(0.5 * (1.0 + outcome * p) for p in pattern)
-    return ("arc", np.array(vec, dtype=np.complex128), tuple(map(complex, vec)))
+    return ("arc", np.array(vec, dtype=np.complex128), _fsum_complex(vec))
 
 
 def _transform_factor(j, d, N, c0, sigma, variant):
@@ -206,21 +203,18 @@ def _transform_factor(j, d, N, c0, sigma, variant):
     """
     wave = embed_variable(square_wave(_wave_kind(sigma), N), j - 1, d)
     q = riesz_apply(j, wave)
-    scale = sigma / c0
-    vec = np.zeros(4, dtype=np.complex128)
-    flat = []
-    for freq, coeff in q.terms.items():
-        k = freq[j - 1]
-        base = scale * complex(coeff[0])
-        for n in ARC_NS:
-            if variant == "projected":
-                contrib = base * arc_average(k, n)
-            else:
-                contrib = base * arc_exp_integral(k, n) / TWO_PI
-            vec[_ARC_POS[n]] += contrib
-            flat.append(contrib)
+    k = q.freqs[:, j - 1]
+    base = (sigma / c0) * q.coeffs[:, :1]
+    weights = arc_averages(k) if variant == "projected" else arc_integrals(k)
+    # the complex product written out, so that every contribution rounds
+    # exactly as base * arc_average(k, n) does in scalar arithmetic
+    re = base.real * weights.real - base.imag * weights.imag
+    im = base.real * weights.imag + base.imag * weights.real
+    if variant != "projected":
+        re, im = re / TWO_PI, im / TWO_PI
+    contrib = re + 1j * im
     kind = "arc" if variant == "projected" else "polyarc"
-    return (kind, vec, tuple(flat))
+    return (kind, contrib.sum(axis=0), _fsum_complex(contrib))
 
 
 def _coord_expectation(fx, fy):
@@ -229,8 +223,7 @@ def _coord_expectation(fx, fy):
     if fy is None:
         fx, fy = None, fx
     if fx is None:
-        kind, _vec, flat = fy
-        total = _fsum_complex(flat)
+        kind, _vec, total = fy
         return 0.25 * total if kind == "arc" else total
     kx, vx, _ = fx
     ky, vy, _ = fy
@@ -270,6 +263,7 @@ def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, variant, N, c0):
                 (_entry_factor_map(prefix, top, t_y), np.asarray(w, dtype=float))
             )
 
+    transformed = {}
     total = 0.0 + 0.0j
     for bx in fb:
         t_x = block_depth(bx, d)
@@ -277,7 +271,9 @@ def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, variant, N, c0):
         if variant == "exact":
             top = _pattern_factor(bx.sign)
         else:
-            top = _transform_factor(j, d, N, c0, sigma, variant)
+            if sigma not in transformed:
+                transformed[sigma] = _transform_factor(j, d, N, c0, sigma, variant)
+            top = transformed[sigma]
         for prefix, w in bx.entries.items():
             wx = np.asarray(w, dtype=float)
             fmap = _entry_factor_map(prefix, top, t_x)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import EkSpaceElement, MartingaleBlock, make_ek_element
-from .errors import GoldenMismatchError, ParseError
+from .errors import GoldenMismatchError, InvalidInputError, ParseError
 from .haar import HaarCoeffs
 from .torus import TrigPoly
 
@@ -184,11 +184,19 @@ def trig_poly_from_dict(obj, path="<memory>"):
     value_dim = int(_require(obj, "value_dim", path))
     terms = {}
     for row in _require(obj, "terms", path):
-        freq = tuple(int(x) for x in _require(row, "freq", path))
+        freq = _require(row, "freq", path)
+        try:
+            freq = tuple(int(x) for x in freq)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"not an integer frequency: {exc}", path=str(path),
+                             field="freq") from exc
         re = np.array(_require(row, "re", path), dtype=float)
         im = np.array(_require(row, "im", path), dtype=float)
         terms[freq] = re + 1j * im
-    return TrigPoly(d, clusters, terms, value_dim)
+    try:
+        return TrigPoly(d, clusters, terms, value_dim)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: field 'terms': {exc}") from exc
 
 
 def write_trig_poly(path, p):

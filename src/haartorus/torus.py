@@ -1,12 +1,14 @@
 """Sparse trigonometric polynomials on products of tori.
 
-Frequencies are stacked integer tuples of length d*clusters; coefficients are
-complex vectors in the value space. Multiplier operators act coefficientwise
-and exactly; dense grids appear only in test oracles.
+A poly is an int64 matrix of stacked frequencies, one row of length
+d*clusters per term in lexicographic row order, beside a complex matrix of
+coefficient vectors. Multipliers act rowwise and exactly; dense grids appear
+only in test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,18 +25,34 @@ ARC_NS = (-2, -1, 0, 1)
 SQCOS_ARC_VALUES = {-2: -1.0, -1: 1.0, 0: 1.0, 1: -1.0}
 SQSIN_ARC_VALUES = {-2: -1.0, -1: -1.0, 0: 1.0, 1: 1.0}
 
-_I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+_I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+
+# Largest |frequency| a poly may carry. With |l_i| < 2**24 and at most 2**15
+# coordinates, a squared norm stays below 2**63, so the int64 arithmetic of the
+# multipliers (squared norms, k*(n+1) mod 4) cannot overflow.
+MAX_FREQUENCY = 2**24 - 1
+MAX_STACK = 2**15
+
+
+def arc_integrals(k):
+    """Integrals of e^{ik theta} over each arc of ARC_NS (columns), for an integer array k."""
+    k = np.asarray(k, dtype=np.int64)[:, None]
+    ns = np.array(ARC_NS)
+    diff = _I_POWERS[k * (ns + 1) % 4] - _I_POWERS[k * ns % 4]
+    return np.where(k == 0, math.pi / 2.0, diff / (1j * np.where(k == 0, 1, k)))
+
+
+def arc_averages(k):
+    """arc_integrals(k) / (pi/2), part by part so each entry is arc_average(k, n) exactly."""
+    z = arc_integrals(k)
+    return z.real / (math.pi / 2.0) + 1j * (z.imag / (math.pi / 2.0))
 
 
 def arc_exp_integral(k, n):
     """Integral of e^{ik theta} over A_n = [n pi/2, (n+1) pi/2), in closed form."""
     if n not in ARC_NS:
         raise InvalidInputError(f"arc label must be one of {ARC_NS}, got {n}")
-    if k == 0:
-        return complex(math.pi / 2.0)
-    hi = _I_POWERS[(k * (n + 1)) % 4]
-    lo = _I_POWERS[(k * n) % 4]
-    return (hi - lo) / (1j * k)
+    return complex(arc_integrals([k])[0, ARC_NS.index(n)])
 
 
 def arc_average(k, n):
@@ -51,105 +69,129 @@ def arc_of_angle(theta):
     return int(min(max(n, -2), 1))
 
 
-def _clean_terms(terms, value_dim):
-    out = {}
+def _dict_arrays(terms, dim, value_dim):
     for freq, coeff in terms.items():
-        arr = np.asarray(coeff, dtype=np.complex128)
-        if arr.ndim == 0:
-            arr = arr[None]
-        if arr.shape != (value_dim,):
+        if len(freq) != dim:
+            raise InvalidInputError(f"frequency {freq} has length {len(freq)}, expected {dim}")
+        if any(abs(int(x)) > MAX_FREQUENCY for x in freq):
+            raise InvalidInputError(f"frequency {freq} beyond the bound {MAX_FREQUENCY}")
+        if (np.shape(coeff) or (1,)) != (value_dim,):
             raise InvalidInputError(
-                f"coefficient shape {arr.shape} does not match value_dim {value_dim}"
-            )
-        if np.any(arr):
-            key = tuple(int(x) for x in freq)
-            out[key] = out.get(key, np.zeros(value_dim, dtype=np.complex128)) + arr
-    return {k: v for k, v in out.items() if np.any(v)}
+                f"coefficient shape {np.shape(coeff)} does not match value_dim {value_dim}")
+    freqs = np.array([[int(x) for x in f] for f in terms], dtype=np.int64)
+    coeffs = np.array([np.reshape(c, -1) for c in terms.values()], dtype=np.complex128)
+    return freqs.reshape(len(terms), dim), coeffs.reshape(len(terms), value_dim)
 
 
-@dataclass(frozen=True)
+def _sorted_runs(freqs):
+    """Stable lexicographic order of the rows, and where each run of equal rows starts."""
+    order = np.lexsort(freqs.T[::-1])
+    ranked = freqs[order]
+    start = np.ones(len(freqs), dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, start
+
+
+def _canonical(freqs, coeffs):
+    """Rows in lexicographic frequency order, duplicates summed, zero rows dropped."""
+    order, start = _sorted_runs(freqs)
+    merged = np.zeros((int(start.sum()), coeffs.shape[1]), dtype=np.complex128)
+    np.add.at(merged, np.cumsum(start) - 1, coeffs[order])
+    keep = merged.any(axis=1)
+    return freqs[order[start]][keep], merged[keep]
+
+
+def _lookup(keys, rows):
+    """Index of each row of `rows` in the canonical matrix `keys`, or -1."""
+    both = np.concatenate((keys, rows))
+    order, start = _sorted_runs(both)  # stable: a key sorts before the rows equal to it
+    head = order[start][np.cumsum(start) - 1]
+    found = np.empty(len(both), dtype=np.intp)
+    found[order] = np.where(head < len(keys), head, -1)
+    return found[len(keys):]
+
+
 class TrigPoly:
-    """Finite sum of coeff(l) * e^{i <l, theta>} over stacked frequencies l."""
+    """Finite sum of coeff(l) * e^{i <l, theta>} over stacked frequencies l.
 
-    d: int
-    clusters: int
-    terms: dict
-    value_dim: int = 1
+    `freqs` is an int64 (terms, d*clusters) matrix of distinct rows in lexicographic
+    order, `coeffs` a complex (terms, value_dim) matrix with no zero row. `terms` is
+    a dict {frequency tuple: coeff} or a (freqs, coeffs) pair, canonicalized alike.
+    """
 
-    def __post_init__(self):
-        if self.d < 1 or self.clusters < 1:
-            raise InvalidInputError("d and clusters must be >= 1")
-        object.__setattr__(self, "terms", _clean_terms(self.terms, self.value_dim))
-        dim = self.d * self.clusters
-        for freq in self.terms:
-            if len(freq) != dim:
-                raise InvalidInputError(
-                    f"frequency {freq} has length {len(freq)}, expected {dim}"
-                )
+    def __init__(self, d, clusters, terms, value_dim=1):
+        if d < 1 or clusters < 1 or d * clusters > MAX_STACK:
+            raise InvalidInputError(f"need d, clusters >= 1 and d*clusters <= {MAX_STACK}")
+        dim = d * clusters
+        if isinstance(terms, dict):
+            freqs, coeffs = _dict_arrays(terms, dim, value_dim)
+        else:
+            freqs = np.asarray(terms[0], dtype=np.int64)
+            coeffs = np.asarray(terms[1], dtype=np.complex128)
+            if freqs.shape != (len(coeffs), dim) or coeffs.shape != (len(freqs), value_dim):
+                raise InvalidInputError(f"array shapes {freqs.shape}, {coeffs.shape} do not "
+                                        f"fit {dim} coordinates and value_dim {value_dim}")
+            if ((freqs > MAX_FREQUENCY) | (freqs < -MAX_FREQUENCY)).any():
+                raise InvalidInputError(f"frequency beyond the bound {MAX_FREQUENCY}")
+        if not np.isfinite(coeffs).all():
+            bad = tuple(int(x) for x in freqs[~np.isfinite(coeffs).all(axis=1)][0])
+            raise InvalidInputError(f"coefficient of frequency {bad} is not finite")
+        self.d, self.clusters, self.value_dim = d, clusters, value_dim
+        self.freqs, self.coeffs = _canonical(freqs, coeffs)
+        self.freqs.flags.writeable = self.coeffs.flags.writeable = False
+
+    @functools.cached_property
+    def terms(self):
+        """{frequency tuple: coefficient vector}, built on first read."""
+        return dict(zip(map(tuple, self.freqs.tolist()), self.coeffs))
 
     @property
     def total_dim(self):
         return self.d * self.clusters
 
-    def map_terms(self, fn):
-        """New poly with coefficient at l replaced by fn(l, coeff) (None drops)."""
-        new = {}
-        for freq, coeff in self.terms.items():
-            val = fn(freq, coeff)
-            if val is not None:
-                new[freq] = val
-        return TrigPoly(self.d, self.clusters, new, self.value_dim)
+    def _with(self, freqs, coeffs):
+        return TrigPoly(self.d, self.clusters, (freqs, coeffs), self.value_dim)
 
     def scale(self, factor):
-        return self.map_terms(lambda _f, c: c * factor)
+        return self._with(self.freqs, self.coeffs * factor)
 
     def add(self, other):
         if (self.d, self.clusters, self.value_dim) != (other.d, other.clusters, other.value_dim):
             raise InvalidInputError("cluster structure mismatch in addition")
-        new = {f: c.copy() for f, c in self.terms.items()}
-        for f, c in other.terms.items():
-            new[f] = new.get(f, np.zeros(self.value_dim, dtype=np.complex128)) + c
-        return TrigPoly(self.d, self.clusters, new, self.value_dim)
+        return self._with(np.concatenate((self.freqs, other.freqs)),
+                          np.concatenate((self.coeffs, other.coeffs)))
 
     def evaluate(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.total_dim,):
-            raise InvalidInputError(
-                f"point has shape {theta.shape}, expected ({self.total_dim},)"
-            )
-        acc = np.zeros(self.value_dim, dtype=np.complex128)
-        for freq, coeff in self.terms.items():
-            acc += coeff * np.exp(1j * float(np.dot(freq, theta)))
-        return acc
+            raise InvalidInputError(f"point has shape {theta.shape}, expected ({self.total_dim},)")
+        return np.exp(1j * (self.freqs @ theta)) @ self.coeffs
 
     def is_real_valued(self, tol=0.0):
-        for freq, coeff in self.terms.items():
-            neg = tuple(-x for x in freq)
-            other = self.terms.get(neg)
-            if other is None or np.max(np.abs(np.conj(other) - coeff)) > tol:
-                return False
-        return True
+        idx = _lookup(self.freqs, -self.freqs)
+        gap = np.abs(np.conj(self.coeffs[idx]) - self.coeffs)
+        return bool((idx >= 0).all() and (gap <= tol).all())
 
     def max_frequency(self):
-        return max((max(abs(x) for x in f) for f in self.terms), default=0)
+        return int(np.abs(self.freqs).max(initial=0))
 
 
 def make_poly(d, clusters, terms, value_dim=1):
     return TrigPoly(d, clusters, dict(terms), value_dim)
 
 
+def _axis_pair(var_index, d, clusters, c_plus, c_minus):
+    e = np.zeros((1, d * clusters), dtype=np.int64)
+    e[0, var_index] = 1
+    return TrigPoly(d, clusters, (np.concatenate((e, -e)), [[c_plus], [c_minus]]))
+
+
 def cos_poly(var_index, d, clusters=1):
-    e = [0] * (d * clusters)
-    e[var_index] = 1
-    plus, minus = tuple(e), tuple(-x for x in e)
-    return make_poly(d, clusters, {plus: 0.5 + 0.0j, minus: 0.5 + 0.0j})
+    return _axis_pair(var_index, d, clusters, 0.5 + 0.0j, 0.5 + 0.0j)
 
 
 def sin_poly(var_index, d, clusters=1):
-    e = [0] * (d * clusters)
-    e[var_index] = 1
-    plus, minus = tuple(e), tuple(-x for x in e)
-    return make_poly(d, clusters, {plus: -0.5j, minus: 0.5j})
+    return _axis_pair(var_index, d, clusters, -0.5j, 0.5j)
 
 
 def embed_variable(p: TrigPoly, var_index, d, clusters=1):
@@ -159,12 +201,9 @@ def embed_variable(p: TrigPoly, var_index, d, clusters=1):
     dim = d * clusters
     if not 0 <= var_index < dim:
         raise InvalidInputError(f"variable index {var_index} out of range for {dim}")
-    new = {}
-    for (k,), coeff in p.terms.items():
-        freq = [0] * dim
-        freq[var_index] = k
-        new[tuple(freq)] = coeff.copy()
-    return TrigPoly(d, clusters, new, p.value_dim)
+    freqs = np.zeros((len(p.freqs), dim), dtype=np.int64)
+    freqs[:, var_index] = p.freqs[:, 0]
+    return TrigPoly(d, clusters, (freqs, p.coeffs), p.value_dim)
 
 
 def square_wave(kind, harmonic_cutoff):
@@ -175,19 +214,13 @@ def square_wave(kind, harmonic_cutoff):
     """
     if kind not in ("sqsin", "sqcos"):
         raise InvalidInputError(f"kind must be 'sqsin' or 'sqcos', got {kind!r}")
-    if harmonic_cutoff < 1:
-        raise InvalidInputError("harmonic cutoff must be >= 1")
-    terms = {}
-    for k in range(1, harmonic_cutoff + 1, 2):
-        if kind == "sqsin":
-            c = -2.0j / (math.pi * k)
-            terms[(k,)] = c
-            terms[(-k,)] = -c
-        else:
-            c = 2.0 * (-1.0) ** ((k - 1) // 2) / (math.pi * k)
-            terms[(k,)] = c
-            terms[(-k,)] = c
-    return make_poly(1, 1, terms)
+    if not 1 <= harmonic_cutoff <= MAX_FREQUENCY:
+        raise InvalidInputError(f"harmonic cutoff must lie in [1, {MAX_FREQUENCY}]")
+    k = np.arange(1, harmonic_cutoff + 1, 2)
+    sine = kind == "sqsin"
+    c = -2.0j / (math.pi * k) if sine else 2.0 * (-1.0) ** ((k - 1) // 2) / (math.pi * k)
+    coeffs = np.concatenate((-c if sine else c, c))[:, None]
+    return TrigPoly(1, 1, (np.concatenate((-k, k))[:, None], coeffs))
 
 
 def square_wave_exact(kind, theta):
@@ -197,8 +230,12 @@ def square_wave_exact(kind, theta):
 
 
 def square_wave_arc_values(kind):
-    table = SQSIN_ARC_VALUES if kind == "sqsin" else SQCOS_ARC_VALUES
-    return dict(table)
+    return dict(SQSIN_ARC_VALUES if kind == "sqsin" else SQCOS_ARC_VALUES)
+
+
+def _multiplier(p: TrigPoly, factor):
+    keep = factor != 0
+    return p._with(p.freqs[keep], p.coeffs[keep] * factor[keep, None])
 
 
 def riesz_apply(j, p: TrigPoly):
@@ -207,46 +244,24 @@ def riesz_apply(j, p: TrigPoly):
         raise InvalidInputError("riesz_apply expects a single-cluster poly")
     if not 1 <= j <= p.d:
         raise InvalidInputError(f"j must be in [1, {p.d}], got {j}")
-
-    def mul(freq, coeff):
-        norm = math.sqrt(sum(x * x for x in freq))
-        if norm == 0.0:
-            return None
-        factor = -1j * freq[j - 1] / norm
-        return coeff * factor if factor != 0 else None
-
-    return p.map_terms(mul)
+    norm = np.sqrt(np.einsum("ij,ij->i", p.freqs, p.freqs).astype(np.float64))
+    return _multiplier(p, 1j * (-p.freqs[:, j - 1] / np.where(norm == 0.0, 1.0, norm)))
 
 
 def directional_hilbert(j, p: TrigPoly):
     """Multiplier -i sign(n_j) in the j-th coordinate of the stack; sign(0) = 0."""
     if not 1 <= j <= p.total_dim:
         raise InvalidInputError(f"j must be in [1, {p.total_dim}], got {j}")
-
-    def mul(freq, coeff):
-        s = (freq[j - 1] > 0) - (freq[j - 1] < 0)
-        if s == 0:
-            return None
-        return coeff * (-1j * s)
-
-    return p.map_terms(mul)
+    return _multiplier(p, -1j * np.sign(p.freqs[:, j - 1]))
 
 
 def inner_product(p: TrigPoly, q: TrigPoly):
     """Parseval pairing sum_l <p(l), conj(q(l))>; the normalized torus integral."""
     if (p.d, p.clusters, p.value_dim) != (q.d, q.clusters, q.value_dim):
         raise InvalidInputError("cluster structure mismatch in inner product")
-    total = 0.0 + 0.0j
-    small, large = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    flipped = small is q.terms
-    for freq, coeff in small.items():
-        other = large.get(freq)
-        if other is not None:
-            if flipped:
-                total += complex(np.sum(other * np.conj(coeff)))
-            else:
-                total += complex(np.sum(coeff * np.conj(other)))
-    return total
+    idx = _lookup(p.freqs, q.freqs)
+    hit = idx >= 0
+    return complex(np.sum(p.coeffs[idx[hit]] * np.conj(q.coeffs[hit])))
 
 
 def poly_norm(p: TrigPoly):
@@ -279,43 +294,29 @@ def quarter_arc_project(j, p: TrigPoly):
         raise InvalidInputError("quarter_arc_project expects a single-cluster poly")
     if not 1 <= j <= p.d:
         raise InvalidInputError(f"j must be in [1, {p.d}], got {j}")
-    arcs = {}
-    for n in ARC_NS:
-        terms = {}
-        for freq, coeff in p.terms.items():
-            k = freq[j - 1]
-            zeroed = freq[: j - 1] + (0,) + freq[j:]
-            add = coeff * arc_average(k, n)
-            if zeroed in terms:
-                terms[zeroed] = terms[zeroed] + add
-            else:
-                terms[zeroed] = add
-        arcs[n] = TrigPoly(p.d, p.clusters, terms, p.value_dim)
-    return ArcBundle(j, arcs)
+    zeroed = p.freqs * (np.arange(p.d) != j - 1)
+    avg = arc_averages(p.freqs[:, j - 1])
+    return ArcBundle(j, {n: p._with(zeroed, p.coeffs * avg[:, col, None])
+                         for col, n in enumerate(ARC_NS)})
 
 
 def bundle_inner(a: ArcBundle, b: ArcBundle):
     """Normalized integral of a * conj(b) over the torus, arc by arc."""
     if a.var != b.var:
         raise InvalidInputError("bundles project different variables")
-    total = 0.0 + 0.0j
-    for n in ARC_NS:
-        total += 0.25 * inner_product(a.arcs[n], b.arcs[n])
-    return total
+    return sum(0.25 * inner_product(a.arcs[n], b.arcs[n]) for n in ARC_NS)
 
 
 def bundle_poly_inner(a: ArcBundle, q: TrigPoly):
     """Normalized integral of a * conj(q) with q an ordinary poly."""
+    zeroed = q.freqs * (np.arange(q.total_dim) != a.var - 1)
+    weights = np.conj(arc_integrals(q.freqs[:, a.var - 1])) / TWO_PI
     total = 0.0 + 0.0j
-    for n in ARC_NS:
-        member = a.arcs[n]
-        for freq, coeff in q.terms.items():
-            k = freq[a.var - 1]
-            zeroed = freq[: a.var - 1] + (0,) + freq[a.var :]
-            mine = member.terms.get(zeroed)
-            if mine is not None:
-                weight = np.conj(arc_exp_integral(k, n)) / TWO_PI
-                total += complex(np.sum(mine * np.conj(coeff))) * weight
+    for col, n in enumerate(ARC_NS):
+        idx = _lookup(a.arcs[n].freqs, zeroed)
+        hit = idx >= 0
+        pair = np.sum(a.arcs[n].coeffs[idx[hit]] * np.conj(q.coeffs[hit]), axis=1)
+        total += complex(np.sum(pair * weights[hit, col]))
     return total
 
 
@@ -326,5 +327,4 @@ def bundle_norm(a: ArcBundle):
 def bundle_combine(a: ArcBundle, b: ArcBundle, ca=1.0, cb=1.0):
     if a.var != b.var:
         raise InvalidInputError("bundles project different variables")
-    arcs = {n: a.arcs[n].scale(ca).add(b.arcs[n].scale(cb)) for n in ARC_NS}
-    return ArcBundle(a.var, arcs)
+    return ArcBundle(a.var, {n: a.arcs[n].scale(ca).add(b.arcs[n].scale(cb)) for n in ARC_NS})

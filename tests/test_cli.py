@@ -64,6 +64,22 @@ class TestExitCodes:
         rc = main(["haar", "analyze", "--input", str(path), "--depth-limit", "2"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("freq, re, named", [
+        ([1], [float("nan")], ("'terms'", "not finite")),
+        ([10**20], [1.0], ("'terms'", str(10**20))),
+        ([float("nan")], [1.0], ("'freq'",)),
+    ], ids=["nan-coefficient", "frequency-beyond-bound", "nan-frequency"])
+    def test_bad_poly_file_is_usage_error(self, tmp_path, capsys, freq, re, named):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "trig_poly", "d": 1, "clusters": 1,
+                                    "value_dim": 1,
+                                    "terms": [{"freq": freq, "re": re, "im": [0.0]}]}))
+        assert main(["torus", "riesz", "--input", str(path), "--j", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for text in (str(path), *named):
+            assert text in captured.err
+
     def test_oversized_matrix_is_internal_error(self, capsys):
         rc = main(["shift", "matrix", "--op", "s0", "--depth", "13"])
         assert rc == EXIT_INTERNAL

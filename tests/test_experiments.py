@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from haartorus import (
+    ARC_NS,
     HaarCoeffs,
     InvalidInputError,
     ResourceLimitError,
+    arc_average,
+    arc_exp_integral,
     dimension_free_check,
     duality_chain_check,
+    embed_variable,
     hilbert_multiplier_operator,
     hilbert_norm_sweep,
     identity_operator,
@@ -18,12 +22,17 @@ from haartorus import (
     make_ek_element,
     matrix_operator,
     modulation_decay_experiment,
+    riesz_apply,
     riesz_vector_operator,
     run_duality_experiment,
+    square_wave,
     verify_lemma_hvs,
 )
 from haartorus.experiments import (
+    _coord_expectation,
+    _fsum_complex,
     _stack_p_norm,
+    _transform_factor,
     _vec_p_norm,
     fitted_wave_constant,
     random_mean_zero_coeffs,
@@ -124,6 +133,28 @@ class TestDualityChain:
         assert abs(report.coded_pairing - report.dyadic_pairing) <= 1e-10
         assert report.reference_constant == golden_c0
         assert report.slack_ratio >= 1.0
+
+    def test_lone_transform_factor_is_compensated_sum_of_contributions(self, golden_c0):
+        # the contributions as the term-by-term loop forms them, one per term and arc
+        d, j, N = 3, 2, 63
+        for sigma, kind in ((1, "sqcos"), (-1, "sqsin")):
+            q = riesz_apply(j, embed_variable(square_wave(kind, N), j - 1, d))
+            for variant in ("projected", "plain"):
+                contributions = []
+                for freq, coeff in q.terms.items():
+                    base = sigma / golden_c0 * complex(coeff[0])
+                    for n in ARC_NS:
+                        if variant == "projected":
+                            contributions.append(base * arc_average(freq[j - 1], n))
+                        else:
+                            contributions.append(
+                                base * arc_exp_integral(freq[j - 1], n) / (2.0 * math.pi))
+                total = _fsum_complex(contributions)
+                want = 0.25 * total if variant == "projected" else total
+                factor = _transform_factor(j, d, N, golden_c0, sigma, variant)
+                assert want == 0.0  # no zero mode, so the arc averages cancel
+                assert _coord_expectation(None, factor) == want
+                assert _coord_expectation(factor, None) == want
 
     def test_single_mode_pairing_is_coefficient_product(self, golden_c0):
         f = sparse_coeffs(1, {(1, 0): 2.0})

@@ -31,6 +31,7 @@ from haartorus import (
     square_wave_arc_values,
     square_wave_exact,
 )
+from haartorus.torus import MAX_FREQUENCY
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
@@ -365,3 +366,36 @@ class TestHypothesisProperties:
         norm = poly_norm(p)
         assert norm < 1.0
         assert norm >= poly_norm(square_wave("sqsin", max(cutoff - 2, 1))) - 1e-15
+
+    @given(value_dim=st.sampled_from((1, 2)), slot=st.integers(0, 3),
+           bad=st.sampled_from((math.nan, math.inf, -math.inf)), imag=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_coefficient_rejected(self, value_dim, slot, bad, imag):
+        freqs = np.arange(4)[:, None]
+        coeffs = np.ones((4, value_dim), dtype=np.complex128)
+        coeffs[slot, value_dim - 1] = complex(0.0, bad) if imag else complex(bad, 0.0)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            TrigPoly(1, 1, (freqs, coeffs), value_dim)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            make_poly(1, 1, {(int(f),): c for f, c in zip(freqs[:, 0], coeffs)}, value_dim)
+
+    @given(size=st.integers(MAX_FREQUENCY + 1, 10**30), sign=st.sampled_from((1, -1)),
+           pos=st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_frequency_beyond_bound_rejected(self, size, sign, pos):
+        freq = [0, 0, 0]
+        freq[pos] = sign * size
+        with pytest.raises(InvalidInputError, match="beyond the bound"):
+            make_poly(3, 1, {tuple(freq): 1.0})
+        if -(2**63) <= sign * size < 2**63:
+            with pytest.raises(InvalidInputError, match="beyond the bound"):
+                TrigPoly(3, 1, (np.array([freq]), np.ones((1, 1))))
+        # the bound itself is accepted
+        freq[pos] = sign * MAX_FREQUENCY
+        assert make_poly(3, 1, {tuple(freq): 1.0}).max_frequency() == MAX_FREQUENCY
+
+    def test_wave_cutoff_beyond_bound_rejected_before_building(self):
+        with pytest.raises(InvalidInputError):
+            square_wave("sqsin", MAX_FREQUENCY + 1)
+        with pytest.raises(InvalidInputError):
+            square_wave("sqcos", 10**20)

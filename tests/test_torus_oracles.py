@@ -1,0 +1,224 @@
+"""The array torus operations against term-by-term dict references.
+
+The references below walk `TrigPoly.terms` one frequency at a time, the way
+the torus layer computed before it moved to frequency and coefficient
+matrices. Coefficientwise multipliers must agree exactly; results that sum
+several terms agree within REL_TOL times the sum of the absolute values that
+enter the sum.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from haartorus.torus import (
+    ARC_NS,
+    TWO_PI,
+    ArcBundle,
+    TrigPoly,
+    arc_average,
+    arc_exp_integral,
+    bundle_inner,
+    bundle_poly_inner,
+    directional_hilbert,
+    inner_product,
+    quarter_arc_project,
+    riesz_apply,
+)
+
+REL_TOL = 1e-13
+
+# ---------------------------------------------------------------------------
+# dict references
+
+
+def ref_merge(d, clusters, freqs, coeffs, value_dim):
+    terms = {}
+    for freq, coeff in zip(map(tuple, freqs.tolist()), coeffs):
+        terms[freq] = terms.get(freq, np.zeros(value_dim, dtype=np.complex128)) + coeff
+    return {f: c for f, c in terms.items() if np.any(c)}
+
+
+def ref_riesz_apply(j, p):
+    new = {}
+    for freq, coeff in p.terms.items():
+        norm = math.sqrt(sum(x * x for x in freq))
+        if norm == 0.0:
+            continue
+        factor = -1j * freq[j - 1] / norm
+        if factor != 0:
+            new[freq] = coeff * factor
+    return TrigPoly(p.d, p.clusters, new, p.value_dim)
+
+
+def ref_directional_hilbert(j, p):
+    new = {}
+    for freq, coeff in p.terms.items():
+        s = (freq[j - 1] > 0) - (freq[j - 1] < 0)
+        if s != 0:
+            new[freq] = coeff * (-1j * s)
+    return TrigPoly(p.d, p.clusters, new, p.value_dim)
+
+
+def ref_inner_product(p, q):
+    total = 0.0 + 0.0j
+    small, large = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
+    flipped = small is q.terms
+    for freq, coeff in small.items():
+        other = large.get(freq)
+        if other is not None:
+            if flipped:
+                total += complex(np.sum(other * np.conj(coeff)))
+            else:
+                total += complex(np.sum(coeff * np.conj(other)))
+    return total
+
+
+def ref_quarter_arc_project(j, p):
+    arcs = {}
+    for n in ARC_NS:
+        terms = {}
+        for freq, coeff in p.terms.items():
+            zeroed = freq[: j - 1] + (0,) + freq[j:]
+            add = coeff * arc_average(freq[j - 1], n)
+            terms[zeroed] = terms[zeroed] + add if zeroed in terms else add
+        arcs[n] = TrigPoly(p.d, p.clusters, terms, p.value_dim)
+    return ArcBundle(j, arcs)
+
+
+def ref_bundle_inner(a, b):
+    total = 0.0 + 0.0j
+    for n in ARC_NS:
+        total += 0.25 * ref_inner_product(a.arcs[n], b.arcs[n])
+    return total
+
+
+def ref_bundle_poly_inner(a, q):
+    total = 0.0 + 0.0j
+    for n in ARC_NS:
+        member = a.arcs[n]
+        for freq, coeff in q.terms.items():
+            zeroed = freq[: a.var - 1] + (0,) + freq[a.var:]
+            mine = member.terms.get(zeroed)
+            if mine is not None:
+                weight = np.conj(arc_exp_integral(freq[a.var - 1], n)) / TWO_PI
+                total += complex(np.sum(mine * np.conj(coeff))) * weight
+    return total
+
+
+# ---------------------------------------------------------------------------
+# random small polys with repeated, cancelling and zero-frequency rows
+
+SHAPES = [(d, c) for d in (1, 2, 3) for c in (1, 2, 3) if d * c <= 3]
+COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def poly_rows(draw, single_cluster=False, shape=None):
+    """(d, clusters, value_dim, freqs, coeffs); freqs may repeat rows."""
+    if shape is None:
+        d, clusters = draw(st.sampled_from([s for s in SHAPES if s[1] == 1 or not single_cluster]))
+        shape = (d, clusters, draw(st.sampled_from((1, 2))))
+    d, clusters, value_dim = shape
+    dim = d * clusters
+    freq = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    coeff = st.lists(COEFF, min_size=value_dim, max_size=value_dim)
+    rows = draw(st.lists(st.tuples(freq, coeff), max_size=10))
+    for f, c in list(rows):
+        how = draw(st.sampled_from(("keep", "repeat", "cancel")))
+        if how == "repeat":
+            rows.append((f, draw(coeff)))
+        elif how == "cancel":
+            rows.append((f, [-x for x in c]))
+    if draw(st.booleans()):
+        rows.append(([0] * dim, draw(coeff)))
+    rows = draw(st.permutations(rows))
+    freqs = np.array([f for f, _ in rows], dtype=np.int64).reshape(len(rows), dim)
+    coeffs = np.array([c for _, c in rows], dtype=np.complex128).reshape(len(rows), value_dim)
+    return d, clusters, value_dim, freqs, coeffs
+
+
+def make(rows):
+    d, clusters, value_dim, freqs, coeffs = rows
+    return TrigPoly(d, clusters, (freqs, coeffs), value_dim)
+
+
+def mass(p):
+    return float(np.abs(p.coeffs).sum())
+
+
+def assert_same_terms(got, want):
+    assert list(got.terms) == list(want.terms)
+    for f, c in want.terms.items():
+        assert np.array_equal(got.terms[f], c)
+
+
+def assert_close_terms(got, want, tol):
+    for f in set(got.terms) | set(want.terms):
+        a = got.terms.get(f, 0.0)
+        b = want.terms.get(f, 0.0)
+        assert np.max(np.abs(np.asarray(a) - b)) <= tol
+
+
+@st.composite
+def poly_pair(draw, single_cluster=False):
+    first = draw(poly_rows(single_cluster=single_cluster))
+    second = draw(poly_rows(shape=(first[0], first[1], first[2])))
+    return make(first), make(second)
+
+
+class TestAgainstDictReferences:
+    @given(poly_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form_is_the_sorted_dict_merge(self, rows):
+        p = make(rows)
+        want = ref_merge(rows[0], rows[1], rows[3], rows[4], rows[2])
+        assert list(p.terms) == sorted(want)
+        for f, c in want.items():
+            assert np.array_equal(p.terms[f], c)
+        assert p.freqs.shape == (len(want), rows[0] * rows[1])
+        assert p.coeffs.shape == (len(want), rows[2])
+
+    @given(poly_rows(single_cluster=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_riesz_apply_exact(self, rows, data):
+        p = make(rows)
+        j = data.draw(st.integers(1, p.d))
+        assert_same_terms(riesz_apply(j, p), ref_riesz_apply(j, p))
+
+    @given(poly_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_directional_hilbert_exact(self, rows, data):
+        p = make(rows)
+        j = data.draw(st.integers(1, p.total_dim))
+        assert_same_terms(directional_hilbert(j, p), ref_directional_hilbert(j, p))
+
+    @given(poly_rows(single_cluster=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_quarter_arc_project(self, rows, data):
+        p = make(rows)
+        j = data.draw(st.integers(1, p.d))
+        got, want = quarter_arc_project(j, p), ref_quarter_arc_project(j, p)
+        assert got.var == want.var
+        for n in ARC_NS:
+            assert_close_terms(got.member(n), want.member(n), REL_TOL * mass(p))
+
+    @given(poly_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_inner_product(self, pair):
+        p, q = pair
+        tol = REL_TOL * mass(p) * mass(q)
+        assert abs(inner_product(p, q) - ref_inner_product(p, q)) <= tol
+        assert abs(inner_product(q, p) - ref_inner_product(q, p)) <= tol
+
+    @given(poly_pair(single_cluster=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bundle_inner_products(self, pair, data):
+        p, q = pair
+        j = data.draw(st.integers(1, p.d))
+        a, b = ref_quarter_arc_project(j, p), ref_quarter_arc_project(j, q)
+        tol = REL_TOL * mass(p) * mass(q)
+        assert abs(bundle_inner(a, b) - ref_bundle_inner(a, b)) <= tol
+        assert abs(bundle_poly_inner(a, q) - ref_bundle_poly_inner(a, q)) <= tol
