@@ -2,8 +2,9 @@
 
 Everything here reduces a structural identity to finite arithmetic: truncated
 square waves stand in for their limits, martingale blocks stand in for
-conditional expectations, and dense matrices stand in for shift operators.
-Each report records the fitted quantities next to the tolerance used.
+conditional expectations, and index and sign arrays stand in for shift
+operators. Each report records the fitted quantities next to the tolerance
+used.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .coding import (
     modulation_difference,
     random_ek_element,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .haar import HaarCoeffs, coeff_inner, haar_synthesize
-from .shifts import apply_sj, operator_matrix, ShiftOperator
+from .shifts import MAX_MATRIX_DEPTH, ShiftOperator, apply_sj, signed_permutation
 from .torus import (
     ARC_NS,
     arc_averages,
@@ -168,6 +169,13 @@ def fitted_wave_constant(N):
 # normalized measure. total is the compensated sum of the unsummed
 # contributions, taken once when the factor is built, so that a lone
 # mean-zero factor evaluates to an exact 0.0.
+#
+# An x entry with prefix P at block depth t is paired only with the mean
+# entry and the y entries (s, P[:s]), s <= t. Every other pair is an exact
+# 0: two prefixes that first differ at toss s meet in indicator factors
+# 0.5(1 + p) and 0.5(1 - p) with p = +-1 there, and a y entry deeper than t
+# leaves its pattern factor alone, whose total is an exact 0.0. The pairs
+# that remain are summed in y order, so the total is the all-pairs total.
 
 
 def _fsum_complex(values):
@@ -255,10 +263,12 @@ def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, variant, N, c0):
     gb = martingale_decompose(g, d, g.depth_limit // d)
 
     y_entries = []
+    y_position = {}
     for by in gb:
         t_y = block_depth(by, d)
         top = None if by.kind == "mean" else _pattern_factor(by.sign)
         for prefix, w in by.entries.items():
+            y_position[(t_y, prefix)] = len(y_entries)
             y_entries.append(
                 (_entry_factor_map(prefix, top, t_y), np.asarray(w, dtype=float))
             )
@@ -277,7 +287,9 @@ def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, variant, N, c0):
         for prefix, w in bx.entries.items():
             wx = np.asarray(w, dtype=float)
             fmap = _entry_factor_map(prefix, top, t_x)
-            for ymap, wy in y_entries:
+            ancestors = [(-1, ())] + [(t, prefix[:t]) for t in range(t_x + 1)]
+            for n in sorted(y_position[a] for a in ancestors if a in y_position):
+                ymap, wy = y_entries[n]
                 prod = 1.0 + 0.0j
                 for s in sorted(set(fmap) | set(ymap)):
                     val = _coord_expectation(fmap.get(s), ymap.get(s))
@@ -550,17 +562,41 @@ def matrix_operator(mats, operator_id):
 
 
 def riesz_vector_operator(d, depth, restricted=True):
-    """All sliced shifts stacked, as dense matrices on coefficient space.
+    """All sliced shifts stacked, as signed permutations of coefficient space.
 
     restricted drops the mean and root coordinates, the span on which the
-    stack acts isometrically.
+    stack acts isometrically. The images are exactly the dense-matrix
+    products: each row and column of a component holds at most one sign.
     """
-    mats = []
+    if d < 1:
+        raise InvalidInputError(f"need d >= 1, got {d}")
+    if depth > MAX_MATRIX_DEPTH:
+        raise ResourceLimitError(
+            f"depth {depth} exceeds the shift-vector depth cap {MAX_MATRIX_DEPTH}"
+        )
+    offset = 2 if restricted else 0
+    n = (1 << (depth + 1)) - offset
+    rules = []
     for j in range(1, d + 1):
-        m = operator_matrix(ShiftOperator("sj", j=j, d=d), depth).astype(float)
-        mats.append(m[2:, 2:] if restricted else m)
+        src, dst, sign = signed_permutation(ShiftOperator("sj", j=j, d=d), depth)
+        rules.append((src - offset, dst - offset, sign.astype(float)))
+
+    def apply(v):
+        out = np.zeros((d, n))
+        for row, (src, dst, sign) in zip(out, rules):
+            row[dst] = sign * v[src]
+        return out
+
+    def apply_adjoint(y):
+        out = np.zeros(n)
+        for row, (src, dst, sign) in zip(y, rules):
+            out[src] += sign * row[dst]
+        return out
+
     tag = "restricted" if restricted else "full"
-    return matrix_operator(mats, f"shift-vector[d={d},depth={depth},{tag}]")
+    return OperatorHandle(
+        f"shift-vector[d={d},depth={depth},{tag}]", n, d, apply, apply_adjoint
+    )
 
 
 def hilbert_multiplier_operator(N, grid_factor=8):

@@ -235,9 +235,15 @@ def ek_element_from_dict(obj, path="<memory>"):
     clusters = int(_require(obj, "clusters", path))
     value_dim = int(_require(obj, "value_dim", path))
     specs = []
-    for row in _require(obj, "terms", path):
+    for n, row in enumerate(_require(obj, "terms", path)):
         re = np.array(_require(row, "re", path), dtype=float)
         im = np.array(_require(row, "im", path), dtype=float)
+        for name, part in (("re", re), ("im", im)):
+            if not np.all(np.isfinite(part)):
+                raise InvalidInputError(
+                    f"{path}: field 'terms[{n}].{name}': non-finite coefficient "
+                    f"{part.tolist()}"
+                )
         specs.append(
             (
                 int(_require(row, "k", path)),
@@ -450,6 +456,16 @@ def lemma_report_to_dict(report):
 
 
 def norm_estimate_to_dict(est):
+    """The estimate with its convergence record.
+
+    last_relative_change is the quantity the convergence test compares with
+    its tolerance, |t[-1] - t[-2]| / max(1, t[-1]) over the trace t; it is
+    None when the trace holds a single iterate.
+    """
+    trace = [float(t) for t in est.trace]
+    last_change = None
+    if len(trace) >= 2:
+        last_change = abs(trace[-1] - trace[-2]) / max(1.0, trace[-1])
     return {
         "schema": SCHEMA_VERSION,
         "kind": "norm_estimate",
@@ -459,6 +475,8 @@ def norm_estimate_to_dict(est):
         "estimate": est.estimate,
         "iterations": est.iterations,
         "converged": est.converged,
+        "trace": trace,
+        "last_relative_change": last_change,
     }
 
 

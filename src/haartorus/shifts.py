@@ -1,4 +1,4 @@
-"""Dyadic shift, sliced shifts, and their dense-matrix oracles.
+"""Dyadic shift, sliced shifts, their signed permutations and dense matrices.
 
 The sibling-pair rule at the coefficient level: for children J+ (left) and
 J- (right) of a common parent, out[J-] = in[J+] and out[J+] = -in[J-]. The
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .haar import HaarCoeffs, basis_position
+from .haar import HaarCoeffs
 
 MAX_MATRIX_DEPTH = 12
 
@@ -76,6 +76,25 @@ def apply_riesz_vector(d, coeffs: HaarCoeffs):
     return [apply_sj(j, d, coeffs) for j in range(1, d + 1)]
 
 
+def signed_permutation(op: ShiftOperator, depth_limit):
+    """The shift on the truncated basis as index and sign arrays (src, dst, sign).
+
+    Basis position src[k] is sent to sign[k] times position dst[k], positions
+    as in basis_position; every position not in src is sent to 0. Siblings
+    share a parent, so dst is src with its last bit flipped, and the left
+    (even) child keeps its sign.
+    """
+    src = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [
+            np.arange(1 << t, 2 << t, dtype=np.int64)
+            for t in range(1, depth_limit + 1)
+            if op.acts_on_depth(t)
+        ]
+    )
+    return src, src ^ 1, np.where(src % 2 == 0, 1, -1)
+
+
 def operator_matrix(op: ShiftOperator, depth_limit):
     """Dense integer matrix on the truncated basis (mean, root, then (t, i)).
 
@@ -86,14 +105,7 @@ def operator_matrix(op: ShiftOperator, depth_limit):
             f"depth_limit {depth_limit} exceeds the dense-basis cap {MAX_MATRIX_DEPTH}"
         )
     n = 1 << (depth_limit + 1)
+    src, dst, sign = signed_permutation(op, depth_limit)
     mat = np.zeros((n, n), dtype=np.int64)
-    for t in range(1, depth_limit + 1):
-        if not op.acts_on_depth(t):
-            continue
-        for i in range(1 << t):
-            col = basis_position(t, i)
-            if i % 2 == 0:
-                mat[basis_position(t, i + 1), col] = 1
-            else:
-                mat[basis_position(t, i - 1), col] = -1
+    mat[dst, src] = sign
     return mat

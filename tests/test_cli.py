@@ -80,6 +80,24 @@ class TestExitCodes:
         for text in (str(path), *named):
             assert text in captured.err
 
+    @pytest.mark.parametrize("re, im", [
+        ([float("nan")], [0.0]),
+        ([1.0], [float("-inf")]),
+    ], ids=["nan-re", "inf-im"])
+    def test_non_finite_ek_element_is_usage_error(self, tmp_path, capsys, re, im):
+        path = tmp_path / "e.json"
+        write_json(path, {
+            "schema": 1, "kind": "ek_element", "d": 2, "clusters": 1,
+            "value_dim": 1,
+            "terms": [{"k": 0, "m": 0, "sign": 1, "freq": [1, 0],
+                       "re": re, "im": im}],
+        })
+        assert main(["code", "modulate", "--input", str(path), "--A", "16"]) \
+            == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "terms[0]" in captured.err
+
     def test_oversized_matrix_is_internal_error(self, capsys):
         rc = main(["shift", "matrix", "--op", "s0", "--depth", "13"])
         assert rc == EXIT_INTERNAL
@@ -318,6 +336,16 @@ class TestNormCommands:
                                     "--depth", "6"])
         assert rc == EXIT_OK
         assert obj["estimate"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_estimate_reports_its_trace(self, capsys):
+        rc, obj = run_json(capsys, ["norm", "estimate", "--operator", "hilbert",
+                                    "--cutoff", "16", "--p", "4.0"])
+        assert rc == EXIT_OK
+        trace = obj["trace"]
+        assert len(trace) == obj["iterations"] and max(trace) == obj["estimate"]
+        assert obj["last_relative_change"] == \
+            abs(trace[-1] - trace[-2]) / max(1.0, trace[-1])
+        assert obj["converged"] and obj["last_relative_change"] <= 1e-13
 
     def test_band_multiplier_estimate(self, capsys):
         rc, obj = run_json(capsys, ["norm", "estimate", "--operator", "hilbert",

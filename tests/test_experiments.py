@@ -10,6 +10,7 @@ from haartorus import (
     HaarCoeffs,
     InvalidInputError,
     ResourceLimitError,
+    ShiftOperator,
     arc_average,
     arc_exp_integral,
     dimension_free_check,
@@ -22,6 +23,7 @@ from haartorus import (
     make_ek_element,
     matrix_operator,
     modulation_decay_experiment,
+    operator_matrix,
     riesz_apply,
     riesz_vector_operator,
     run_duality_experiment,
@@ -266,6 +268,22 @@ class TestNormEstimation:
         est = lp_norm_estimate(riesz_vector_operator(2, 6), 2.0)
         assert est.estimate == pytest.approx(1.0, abs=1e-8)
 
+    def test_shift_vector_permutations_equal_dense_products(self, rng):
+        for d in range(1, 5):
+            for depth in range(1, 7):
+                for restricted in (True, False):
+                    op = riesz_vector_operator(d, depth, restricted=restricted)
+                    mats = [operator_matrix(ShiftOperator("sj", j=j, d=d), depth)
+                            .astype(float) for j in range(1, d + 1)]
+                    if restricted:
+                        mats = [m[2:, 2:] for m in mats]
+                    dense = matrix_operator(mats, "dense")
+                    v = rng.standard_normal(op.dim)
+                    y = rng.standard_normal((d, op.dim))
+                    assert (op.dim, op.components) == (dense.dim, dense.components)
+                    assert np.array_equal(op.apply(v), dense.apply(v))
+                    assert np.array_equal(op.apply_adjoint(y), dense.apply_adjoint(y))
+
     def test_unrestricted_operator_kills_root_modes(self):
         est = lp_norm_estimate(riesz_vector_operator(1, 5, restricted=False), 2.0)
         assert est.estimate <= 1.0 + 1e-9
@@ -305,6 +323,8 @@ class TestNormEstimation:
             hilbert_multiplier_operator(0)
         with pytest.raises(ResourceLimitError):
             riesz_vector_operator(2, 13)
+        with pytest.raises(InvalidInputError):
+            riesz_vector_operator(0, 4)
         with pytest.raises(InvalidInputError):
             matrix_operator([np.zeros((2, 2)), np.zeros((3, 3))], "ragged")
 

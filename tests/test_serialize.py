@@ -5,10 +5,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from haartorus import (
     GoldenMismatchError,
     HaarCoeffs,
+    InvalidInputError,
     MartingaleBlock,
     ParseError,
     haar_analyze,
@@ -19,6 +22,8 @@ from haartorus import (
 from haartorus.experiments import (
     DimensionFreeRow,
     ModulationDecayResult,
+    identity_operator,
+    lp_norm_estimate,
     modulation_decay_experiment,
 )
 from haartorus.serialize import (
@@ -37,6 +42,7 @@ from haartorus.serialize import (
     haar_coeffs_to_dict,
     load_golden_c0,
     load_json,
+    norm_estimate_to_dict,
     read_dimension_sweep_csv,
     read_haar_coeffs,
     read_modulation_sweep_csv,
@@ -115,6 +121,22 @@ class TestJsonSchemas:
         assert [t.freq for t in back.terms] == [t.freq for t in e.terms]
         assert all(np.array_equal(a.coeff, b.coeff)
                    for a, b in zip(back.terms, e.terms))
+
+    @given(st.sampled_from(["re", "im"]), st.integers(0, 2),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_ek_element_non_finite_part_rejected(self, part, at, bad):
+        obj = ek_element_to_dict(random_ek_element(seed=8, n_terms=3))
+        obj["terms"][at][part] = [bad]
+        with pytest.raises(InvalidInputError) as info:
+            ek_element_from_dict(obj, path="e.json")
+        assert "e.json" in str(info.value)
+        assert f"terms[{at}].{part}" in str(info.value)
+
+    def test_single_iterate_has_no_relative_change(self):
+        est = lp_norm_estimate(identity_operator(4), 2.0, max_iter=1)
+        obj = norm_estimate_to_dict(est)
+        assert obj["trace"] == [est.estimate]
+        assert obj["last_relative_change"] is None
 
     def test_blocks_roundtrip(self, rng):
         blocks = martingale_decompose(haar_analyze(rng.standard_normal(16)), 2, 1)
