@@ -20,6 +20,7 @@ from pathlib import Path
 import mpmath as mp
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
 
 
 def quadrature_c0(dps=60):

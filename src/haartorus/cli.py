@@ -65,7 +65,7 @@ def _run_haar_analyze(config):
 
     samples = serialize.read_samples_csv(config.input_path)
     coeffs = haar_analyze(samples, depth_limit=config.params.get("depth_limit"))
-    _emit(config, serialize.dumps_json(serialize.haar_coeffs_to_dict(coeffs)))
+    _emit(config, serialize.haar_coeffs_text(coeffs))
     return EXIT_OK
 
 
@@ -73,12 +73,7 @@ def _run_haar_synthesize(config):
     from .haar import haar_synthesize
 
     coeffs = serialize.read_haar_coeffs(config.input_path)
-    samples = haar_synthesize(coeffs)
-    if config.output_path:
-        serialize.write_samples_csv(config.output_path, samples)
-    else:
-        rows = "\n".join(",".join(repr(float(x)) for x in row) for row in samples)
-        sys.stdout.write(rows + "\n")
+    _emit(config, serialize.samples_csv_text(haar_synthesize(coeffs)))
     return EXIT_OK
 
 
@@ -89,7 +84,7 @@ def _run_shift_apply(config):
         out = shifts.apply_s0(coeffs)
     else:
         out = shifts.apply_sj(config.params["j"], config.params["d"], coeffs)
-    _emit(config, serialize.dumps_json(serialize.haar_coeffs_to_dict(out)))
+    _emit(config, serialize.haar_coeffs_text(out))
     return EXIT_OK
 
 
@@ -146,7 +141,7 @@ def _run_code_decompose(config):
     if K is None:
         K = max(coeffs.depth_limit // d, 0)
     blocks = coding.martingale_decompose(coeffs, d, K)
-    _emit(config, serialize.dumps_json(serialize.blocks_to_dict(blocks, d)))
+    _emit(config, serialize.blocks_text(blocks, d))
     return EXIT_OK
 
 
@@ -287,9 +282,8 @@ def _norm_operator(config):
     if name == "shift-vector":
         return experiments.riesz_vector_operator(params["d"], params["depth"])
     if name == "s0":
-        mat = shifts.operator_matrix(shifts.ShiftOperator("s0"), params["depth"])
-        return experiments.matrix_operator(
-            [mat[2:, 2:].astype(float)], f"s0[depth={params['depth']},restricted]"
+        return experiments.signed_permutation_operator(
+            [shifts.ShiftOperator("s0")], params["depth"], f"s0[depth={params['depth']},restricted]"
         )
     raise InvalidInputError(f"unknown operator {name!r}")
 

@@ -105,11 +105,14 @@ def block_depth(block: MartingaleBlock, d):
     return block.k * d + block.m
 
 
+_OUTCOME_OF_BIT = {"0": 1, "1": -1}
+
+
 def prefix_of_index(depth, index):
     """Outcome prefix (+1 left / -1 right) leading to node (depth, index)."""
-    return tuple(
-        1 if ((index >> (depth - 1 - s)) & 1) == 0 else -1 for s in range(depth)
-    )
+    # the low `depth` bits of index, most significant first, behind a leading 1
+    bits = bin((index & ((1 << depth) - 1)) | (1 << depth))[3:]
+    return tuple(map(_OUTCOME_OF_BIT.__getitem__, bits))
 
 
 def index_of_prefix(prefix):
@@ -128,19 +131,20 @@ def martingale_decompose(coeffs: HaarCoeffs, d, K):
     if d < 1 or K < 0:
         raise InvalidInputError("need d >= 1 and K >= 0")
     cap = (K + 1) * d
-    deep = [t for (t, _i) in coeffs.entries if t >= cap]
-    if deep:
+    deep = coeffs.depths.max(initial=0)
+    if deep >= cap:
         raise InvalidInputError(
-            f"populated depth {max(deep)} needs cluster {max(deep) // d} > K = {K}"
+            f"populated depth {deep} needs cluster {deep // d} > K = {K}"
         )
     blocks = {}
     blocks[("mean", -1, 0, 1)] = {(): coeffs.mean_part.copy()}
     if np.any(coeffs.root_part):
         blocks[("eps0", 0, 0, 1)] = {(): coeffs.root_part.copy()}
-    for (t, i), c in coeffs.entries.items():
+    scales = np.array([2.0 ** (t / 2.0) for t in range(coeffs.depth_limit + 1)])
+    for (t, i), c in zip(coeffs.nodes, coeffs.values * scales[coeffs.depths][:, None]):
         prefix = prefix_of_index(t, i)
         key = ("pm", t // d, t % d, prefix[-1])
-        blocks.setdefault(key, {})[prefix] = c * 2.0 ** (t / 2.0)
+        blocks.setdefault(key, {})[prefix] = c
     return [
         MartingaleBlock(kind, k, m, sign, entries)
         for (kind, k, m, sign), entries in sorted(

@@ -447,12 +447,10 @@ def _partner_element(phi: EkSpaceElement, seed):
 def random_mean_zero_coeffs(depth, seed, value_dim=1):
     """Seeded coefficients on all nodes of depth 1..depth, zero mean and root."""
     rng = np.random.default_rng(seed)
-    entries = {}
-    for t in range(1, depth + 1):
-        for i in range(1 << t):
-            entries[(t, i)] = rng.standard_normal(value_dim)
+    n = (2 << depth) - 2  # every node (t, i), 1 <= t <= depth, in position order
     return HaarCoeffs(
-        depth, value_dim, np.zeros(value_dim), np.zeros(value_dim), entries
+        depth, value_dim, np.zeros(value_dim), np.zeros(value_dim),
+        (np.arange(2, n + 2), rng.standard_normal((n, value_dim))),
     )
 
 
@@ -561,15 +559,13 @@ def matrix_operator(mats, operator_id):
     return OperatorHandle(operator_id, n, len(mats), apply, apply_adjoint)
 
 
-def riesz_vector_operator(d, depth, restricted=True):
-    """All sliced shifts stacked, as signed permutations of coefficient space.
+def signed_permutation_operator(ops, depth, operator_id, restricted=True):
+    """Shift operators stacked, each applied as its signed permutation of coefficient space.
 
-    restricted drops the mean and root coordinates, the span on which the
-    stack acts isometrically. The images are exactly the dense-matrix
-    products: each row and column of a component holds at most one sign.
+    restricted drops the mean and root coordinates. The images are exactly the
+    dense-matrix products: each row and column of a component holds at most
+    one sign.
     """
-    if d < 1:
-        raise InvalidInputError(f"need d >= 1, got {d}")
     if depth > MAX_MATRIX_DEPTH:
         raise ResourceLimitError(
             f"depth {depth} exceeds the shift-vector depth cap {MAX_MATRIX_DEPTH}"
@@ -577,12 +573,12 @@ def riesz_vector_operator(d, depth, restricted=True):
     offset = 2 if restricted else 0
     n = (1 << (depth + 1)) - offset
     rules = []
-    for j in range(1, d + 1):
-        src, dst, sign = signed_permutation(ShiftOperator("sj", j=j, d=d), depth)
+    for op in ops:
+        src, dst, sign = signed_permutation(op, depth)
         rules.append((src - offset, dst - offset, sign.astype(float)))
 
     def apply(v):
-        out = np.zeros((d, n))
+        out = np.zeros((len(rules), n))
         for row, (src, dst, sign) in zip(out, rules):
             row[dst] = sign * v[src]
         return out
@@ -593,9 +589,17 @@ def riesz_vector_operator(d, depth, restricted=True):
             out[src] += sign * row[dst]
         return out
 
+    return OperatorHandle(operator_id, n, len(rules), apply, apply_adjoint)
+
+
+def riesz_vector_operator(d, depth, restricted=True):
+    """All d sliced shifts stacked; restricted keeps the span where the stack is isometric."""
+    if d < 1:
+        raise InvalidInputError(f"need d >= 1, got {d}")
     tag = "restricted" if restricted else "full"
-    return OperatorHandle(
-        f"shift-vector[d={d},depth={depth},{tag}]", n, d, apply, apply_adjoint
+    return signed_permutation_operator(
+        [ShiftOperator("sj", j=j, d=d) for j in range(1, d + 1)], depth,
+        f"shift-vector[d={d},depth={depth},{tag}]", restricted,
     )
 
 
@@ -620,9 +624,12 @@ def hilbert_multiplier_operator(N, grid_factor=8):
     return OperatorHandle(f"hilbert[N={N},grid={n}]", n, 1, apply, apply_adjoint)
 
 
+def _stack_amplitude(W):
+    return np.sqrt(np.sum(W * W, axis=0))
+
+
 def _stack_p_norm(W, p):
-    amp = np.sqrt(np.sum(W * W, axis=0))
-    return float(np.mean(amp**p) ** (1.0 / p))
+    return _vec_p_norm(_stack_amplitude(W), p)
 
 
 def _vec_p_norm(v, p):
@@ -664,7 +671,8 @@ def lp_norm_estimate(op: OperatorHandle, p, max_iter=400, tol=1e-13, seed=0,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         W = op.apply(v)
-        quot = _stack_p_norm(W, p)
+        amp = _stack_amplitude(W)
+        quot = _vec_p_norm(amp, p)
         trace.append(quot)
         if quot > best:
             best = quot
@@ -673,7 +681,6 @@ def lp_norm_estimate(op: OperatorHandle, p, max_iter=400, tol=1e-13, seed=0,
             converged = True
             break
         prev = quot
-        amp = np.sqrt(np.sum(W * W, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(amp > 0.0, amp ** (p - 2.0), 0.0)
         Y = W * scale

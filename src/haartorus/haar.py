@@ -9,12 +9,15 @@ Conventions (global for the whole package):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .valuespace import as_components
+
+MAX_DEPTH = 62  # positions 2^t + i are int64
 
 
 @dataclass(frozen=True)
@@ -66,34 +69,58 @@ def basis_position(depth, index):
     return (1 << depth) + index
 
 
-@dataclass(frozen=True)
 class HaarCoeffs:
-    """Sparse Haar expansion; the two root modes are kept out of the tree map.
+    """Sparse Haar expansion: mean_part (constant mode), root_part (depth-0 Haar mode) and rows.
 
-    mean_part is the coefficient of the constant mode, root_part the
-    coefficient of the depth-0 Haar function; entries maps (depth, index)
-    with depth >= 1 to coefficient vectors.
+    Nodes of depth >= 1 are rows, zero rows kept: int64 `positions` (basis_position,
+    increasing) and float64 or complex128 (rows, value_dim) `values`. `entries` is a dict
+    {(t, i): vector} or a (positions, values) pair; read back, it is a cached dict view.
     """
 
-    depth_limit: int
-    value_dim: int
-    mean_part: np.ndarray
-    root_part: np.ndarray
-    entries: dict
+    def __init__(self, depth_limit, value_dim, mean_part, root_part, entries):
+        if not 0 <= depth_limit <= MAX_DEPTH:
+            raise InvalidInputError(f"depth_limit {depth_limit} outside [0, {MAX_DEPTH}]")
+        self.depth_limit, self.value_dim = int(depth_limit), int(value_dim)
+        self.mean_part = as_components(mean_part, value_dim)
+        self.root_part = as_components(root_part, value_dim)
+        if isinstance(entries, dict):
+            for (t, i), v in entries.items():
+                if not (1 <= t <= depth_limit and 0 <= i < 1 << t and np.shape(v) == (value_dim,)):
+                    raise InvalidInputError(f"entry {(t, i)} of shape {np.shape(v)} is no node of "
+                                            f"depth 1..{depth_limit} with {value_dim} components")
+            entries = ([basis_position(t, i) for t, i in entries],
+                       np.reshape(list(entries.values()), (len(entries), value_dim)))
+        positions, values = np.asarray(entries[0], dtype=np.int64), np.asarray(entries[1])
+        if (positions.ndim != 1 or values.shape != (len(positions), value_dim)
+                or ((positions < 2) | (positions >= 2 << depth_limit)).any()):
+            raise InvalidInputError(f"rows of shape {positions.shape}, {values.shape} need "
+                                    f"value_dim {value_dim}, positions in [2, {2 << depth_limit})")
+        order = np.argsort(positions, kind="stable")
+        self.positions = positions[order]
+        self.values = values[order].astype(np.complex128 if np.iscomplexobj(values) else float)
+        if (self.positions[1:] == self.positions[:-1]).any():
+            raise InvalidInputError("repeated node position")
+        rows = np.vstack((self.mean_part, self.root_part, self.values))
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            where = ("mean", "root", *(f"entry {node}" for node in self.nodes))[bad[0]]
+            raise InvalidInputError(f"{where} {rows[bad[0]].tolist()} is not finite")
+        self.positions.flags.writeable = self.values.flags.writeable = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean_part", as_components(self.mean_part, self.value_dim))
-        object.__setattr__(self, "root_part", as_components(self.root_part, self.value_dim))
-        for (t, i), _ in self.entries.items():
-            if t < 1 or t > self.depth_limit:
-                raise InvalidInputError(f"entry depth {t} outside [1, {self.depth_limit}]")
-            if not 0 <= i < (1 << t):
-                raise InvalidInputError(f"entry index {i} out of range at depth {t}")
+    @property
+    def depths(self):
+        """Depth t of each row: how many of 2, 4, ..., 2^62 are <= its position 2^t + i."""
+        return np.searchsorted(np.left_shift(2, np.arange(MAX_DEPTH)), self.positions, side="right")
 
-    def entry(self, depth, index):
-        if depth == 0:
-            return self.root_part
-        return self.entries.get((depth, index), np.zeros(self.value_dim))
+    @property
+    def nodes(self):
+        """(t, i) of each row, as a list in row order."""
+        t = self.depths
+        return list(zip(t.tolist(), (self.positions - np.left_shift(1, t)).tolist()))
+
+    @functools.cached_property
+    def entries(self):
+        return dict(zip(self.nodes, self.values))
 
     def zeros_like(self, entries=None):
         z = np.zeros(self.value_dim)
@@ -101,94 +128,73 @@ class HaarCoeffs:
 
     def coefficient_norm_sq(self):
         """Sum of squared coefficient norms, mean and root modes included."""
-        total = float(np.sum(np.abs(self.mean_part) ** 2))
-        total += float(np.sum(np.abs(self.root_part) ** 2))
-        for v in self.entries.values():
-            total += float(np.sum(np.abs(v) ** 2))
-        return total
+        return sum(float(np.sum(np.abs(a) ** 2))
+                   for a in (self.mean_part, self.root_part, self.values))
 
 
 def coeff_inner(a: HaarCoeffs, b: HaarCoeffs):
     """Coefficient pairing sum_modes <a_m, conj(b_m)> (equals the grid L2 pairing)."""
     if a.value_dim != b.value_dim:
         raise InvalidInputError("value dimensions differ")
+    _, ia, ib = np.intersect1d(a.positions, b.positions, assume_unique=True, return_indices=True)
     total = np.sum(a.mean_part * np.conj(b.mean_part))
     total += np.sum(a.root_part * np.conj(b.root_part))
-    for key, v in a.entries.items():
-        w = b.entries.get(key)
-        if w is not None:
-            total += np.sum(v * np.conj(w))
+    total += np.sum(a.values[ia] * np.conj(b.values[ib]))
     return complex(total) if np.iscomplexobj(a.mean_part) or np.iscomplexobj(b.mean_part) else float(np.real(total))
 
 
 def _as_sample_array(samples):
-    if isinstance(samples, np.ndarray):
-        arr = samples
-    else:
-        rows = [as_components(getattr(s, "components", s)) for s in samples]
-        arr = np.stack(rows, axis=0)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    if not isinstance(samples, np.ndarray):
+        samples = np.stack([as_components(getattr(s, "components", s)) for s in samples])
+    arr = samples[:, None] if samples.ndim == 1 else samples
     if arr.ndim != 2:
         raise InvalidInputError(f"samples must be 1-d or 2-d, got shape {arr.shape}")
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(np.float64)
-    return arr
+    return arr if np.iscomplexobj(arr) else arr.astype(np.float64)
 
 
 def haar_analyze(samples, depth_limit=None):
     """Expand finest-grid averages into Haar coefficients.
 
     samples holds 2^(depth_limit+1) grid averages; the coefficient at node
-    (t, i) is (avg_left - avg_right) * 2^(-t/2 - 1).
+    (t, i) is (avg_left - avg_right) * 2^(-t/2 - 1); all-zero rows are left out.
     """
     arr = _as_sample_array(samples)
     n = arr.shape[0]
     if n < 2 or n & (n - 1):
         raise InvalidInputError(f"sample count must be a power of two >= 2, got {n}")
-    inferred = n.bit_length() - 2
-    if depth_limit is None:
-        depth_limit = inferred
-    elif depth_limit != inferred:
-        raise InvalidInputError(
-            f"depth_limit {depth_limit} needs {1 << (depth_limit + 1)} samples, got {n}"
-        )
-    value_dim = arr.shape[1]
-    entries = {}
+    if depth_limit is not None and depth_limit != n.bit_length() - 2:
+        raise InvalidInputError(f"depth_limit {depth_limit} needs {1 << (depth_limit + 1)} "
+                                f"samples, got {n}")
+    depth_limit = n.bit_length() - 2
+    dense = np.empty_like(arr)  # row p holds the coefficient at basis position p
     avg = arr
     for t in range(depth_limit, -1, -1):
         left, right = avg[0::2], avg[1::2]
-        scale = 0.5 * 2.0 ** (-t / 2.0)
-        coeffs = (left - right) * scale
-        for i in range(coeffs.shape[0]):
-            c = coeffs[i]
-            if t >= 1 and np.any(c):
-                entries[(t, i)] = c.copy()
+        dense[1 << t:2 << t] = (left - right) * (0.5 * 2.0 ** (-t / 2.0))
         avg = (left + right) * 0.5
-        if t == 0:
-            root = coeffs[0].copy()
-    mean = avg[0].copy()
-    return HaarCoeffs(depth_limit, value_dim, mean, root, entries)
+    positions = 2 + np.flatnonzero(dense[2:].any(axis=1))
+    return HaarCoeffs(depth_limit, arr.shape[1], avg[0].copy(), dense[1].copy(),
+                      (positions, dense[positions]))
 
 
 def haar_synthesize(coeffs: HaarCoeffs):
-    """Exact left inverse of haar_analyze; returns the grid-average array."""
-    parts = [coeffs.mean_part, coeffs.root_part, *coeffs.entries.values()]
-    dtype = np.result_type(*parts)
-    cur = np.array([coeffs.mean_part], dtype=dtype)
+    """Exact left inverse of haar_analyze; returns the grid-average array.
+
+    Level t adds c * 2^(t/2) to the left child and subtracts it from the right
+    one, at present rows only: adding an absent zero would turn -0.0 into 0.0.
+    """
+    pos, depths, vals = coeffs.positions, coeffs.depths, coeffs.values
+    if np.any(coeffs.root_part):
+        pos, depths = np.append(1, pos), np.append(0, depths)
+        vals = np.concatenate((coeffs.root_part[None], vals))
+    starts = np.searchsorted(depths, np.arange(coeffs.depth_limit + 2))
+    cur = np.array([coeffs.mean_part], np.result_type(coeffs.mean_part, coeffs.root_part, vals))
     for t in range(coeffs.depth_limit + 1):
-        nxt = np.repeat(cur, 2, axis=0)
-        scale = 2.0 ** (t / 2.0)
-        if t == 0:
-            if np.any(coeffs.root_part):
-                nxt[0] = nxt[0] + coeffs.root_part * scale
-                nxt[1] = nxt[1] - coeffs.root_part * scale
-        else:
-            for (tt, i), c in coeffs.entries.items():
-                if tt == t:
-                    nxt[2 * i] = nxt[2 * i] + c * scale
-                    nxt[2 * i + 1] = nxt[2 * i + 1] - c * scale
-        cur = nxt
+        cur = np.repeat(cur, 2, axis=0)
+        left = 2 * (pos[starts[t]:starts[t + 1]] - (1 << t))
+        c = vals[starts[t]:starts[t + 1]] * 2.0 ** (t / 2.0)
+        cur[left] = cur[left] + c
+        cur[left + 1] = cur[left + 1] - c
     return cur
 
 
@@ -198,14 +204,8 @@ def haar_basis_function(depth_limit, mode):
     if mode == "mean":
         return np.ones(n)
     t, i = mode
-    coeffs = HaarCoeffs(
-        depth_limit,
-        1,
-        np.zeros(1),
-        np.ones(1) if t == 0 else np.zeros(1),
-        {} if t == 0 else {(t, i): np.ones(1)},
-    )
-    return haar_synthesize(coeffs)[:, 0]
+    root, entries = (np.ones(1), {}) if t == 0 else (np.zeros(1), {(t, i): np.ones(1)})
+    return haar_synthesize(HaarCoeffs(depth_limit, 1, np.zeros(1), root, entries))[:, 0]
 
 
 def interval_cube_bijection(node: DyadicNode, d):

@@ -7,6 +7,7 @@ the mean as its own field.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -73,7 +74,7 @@ def _check_schema(obj, path):
         )
 
 
-def _real_list(arr, path=None, field=None):
+def _real_array(arr, path=None, field=None):
     arr = np.asarray(arr)
     if np.iscomplexobj(arr):
         if np.any(arr.imag):
@@ -81,7 +82,19 @@ def _real_list(arr, path=None, field=None):
                 "complex values not representable here", path=path, field=field
             )
         arr = arr.real
-    return [float(x) for x in arr]
+    return arr
+
+
+def _real_list(arr, path=None, field=None):
+    return [float(x) for x in _real_array(arr, path, field)]
+
+
+def _list_layout(n, indent):
+    """Layout json.dumps(indent=2) gives an n-item list opened at `indent`, one %r per item."""
+    if n == 0:
+        return "[]"
+    pad = " " * indent
+    return "[\n" + ",\n".join([pad + "  %r"] * n) + "\n" + pad + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +108,7 @@ def haar_coeffs_to_dict(coeffs: HaarCoeffs):
             "index": int(i),
             "value": _real_list(v, field="value"),
         }
-        for (t, i), v in sorted(coeffs.entries.items())
+        for (t, i), v in zip(coeffs.nodes, coeffs.values)
     ]
     if np.any(coeffs.root_part):
         entries.insert(
@@ -116,6 +129,52 @@ def haar_coeffs_to_dict(coeffs: HaarCoeffs):
     }
 
 
+def haar_coeffs_text(coeffs: HaarCoeffs):
+    """dumps_json(haar_coeffs_to_dict(coeffs)), formatted in one pass over the rows."""
+    nodes, values = coeffs.nodes, coeffs.values
+    if np.any(coeffs.root_part):
+        nodes, values = [(0, 0)] + nodes, np.concatenate((coeffs.root_part[None], values))
+    row = ('    {\n      "depth": %d,\n      "index": %d,\n      "value": '
+           + _list_layout(coeffs.value_dim, 6) + "\n    }")
+    values = _real_array(values, field="value").tolist()
+    rows = ",\n".join([row % (*node, *v) for node, v in zip(nodes, values)])
+    mean = _list_layout(coeffs.value_dim, 2) % tuple(
+        _real_array(coeffs.mean_part, field="mean").tolist())
+    return (f'{{\n  "depth_limit": {coeffs.depth_limit},\n  "entries": '
+            + (f"[\n{rows}\n  ]" if rows else "[]")
+            + f',\n  "kind": "haar_coeffs",\n  "mean": {mean},\n  "schema": {SCHEMA_VERSION},'
+            f'\n  "value_dim": {coeffs.value_dim}\n}}\n')
+
+
+def _entry_columns(rows, depth_limit, value_dim, path):
+    """Depth, index and value columns of a coefficient file's entry rows, in file order."""
+    try:
+        t = np.array([row["depth"] for row in rows], dtype=np.int64)
+        i = np.array([row["index"] for row in rows], dtype=np.int64)
+        vals = np.array([row["value"] for row in rows], dtype=float)
+        vals = vals.reshape(len(t), value_dim) if vals.size == 0 else vals
+        node = (t >= 1) & (t <= depth_limit) & (i >= 0) & (i < np.left_shift(1, t.clip(0, 62)))
+        if vals.shape == (len(t), value_dim) and (node | ((t == 0) & (i == 0))).all():
+            return t, i, vals
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    # Name the first bad row the way a row-by-row reader does.
+    for pos, row in enumerate(rows):
+        t = int(_require(row, "depth", path))
+        i = int(_require(row, "index", path))
+        vals = np.array(_require(row, "value", path), dtype=float)
+        if vals.shape != (value_dim,):
+            raise ParseError(
+                f"entry {pos} has {vals.size} components, expected {value_dim}",
+                path=str(path),
+                field="value",
+            )
+        if (t, i) != (0, 0) and not (1 <= t <= depth_limit and 0 <= i < 1 << t):
+            raise InvalidInputError(f"{path}: field 'entries': entry {pos} ({t}, {i}) is not "
+                                    f"a node of depth 0..{depth_limit}")
+    raise ParseError("malformed entry rows", path=str(path), field="entries")
+
+
 def haar_coeffs_from_dict(obj, path="<memory>"):
     _check_schema(obj, path)
     depth_limit = int(_require(obj, "depth_limit", path))
@@ -127,27 +186,21 @@ def haar_coeffs_from_dict(obj, path="<memory>"):
             path=str(path),
             field="mean",
         )
-    root = np.zeros(value_dim)
-    entries = {}
-    for pos, row in enumerate(_require(obj, "entries", path)):
-        t = int(_require(row, "depth", path))
-        i = int(_require(row, "index", path))
-        vals = np.array(_require(row, "value", path), dtype=float)
-        if vals.shape != (value_dim,):
-            raise ParseError(
-                f"entry {pos} has {vals.size} components, expected {value_dim}",
-                path=str(path),
-                field="value",
-            )
-        if (t, i) == (0, 0):
-            root = vals
-        else:
-            entries[(t, i)] = vals
-    return HaarCoeffs(depth_limit, value_dim, mean, root, entries)
+    t, i, vals = _entry_columns(_require(obj, "entries", path), depth_limit, value_dim, path)
+    root_rows = np.flatnonzero(t == 0)
+    node = t > 0
+    try:
+        if len(root_rows) > 1:
+            raise InvalidInputError("repeated root entry (0, 0)")
+        root = vals[root_rows[0]] if len(root_rows) else np.zeros(value_dim)
+        return HaarCoeffs(depth_limit, value_dim, mean, root,
+                          (np.left_shift(1, t[node]) + i[node], vals[node]))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def write_haar_coeffs(path, coeffs):
-    write_json(path, haar_coeffs_to_dict(coeffs))
+    atomic_write_text(path, haar_coeffs_text(coeffs))
 
 
 def read_haar_coeffs(path):
@@ -285,6 +338,44 @@ def blocks_to_dict(blocks, d):
     }
 
 
+def _real_rows(rows, field):
+    """[_real_list(row) for row in rows], in one array pass when the rows stack."""
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim != 2:
+        return [_real_list(row, field=field) for row in rows]
+    return _real_array(arr, field=field).astype(float).tolist()
+
+
+def blocks_text(blocks, d):
+    """dumps_json(blocks_to_dict(blocks, d)), formatted in one pass over the entries."""
+    layouts = {}
+
+    def layout(n_prefix, n_values):
+        if (n_prefix, n_values) not in layouts:
+            layouts[n_prefix, n_values] = (
+                '        {\n          "prefix": ' + _list_layout(n_prefix, 10)
+                + ',\n          "values": ' + _list_layout(n_values, 10) + "\n        }"
+            ).replace("%r", "%d", n_prefix)
+        return layouts[n_prefix, n_values]
+
+    rows = []
+    for b in blocks:
+        prefixes = sorted(b.entries)
+        values = _real_rows([b.entries[p] for p in prefixes], "values")
+        entries = ",\n".join([layout(len(p), len(v)) % (*p, *v) for p, v in zip(prefixes, values)])
+        rows.append(
+            '    {\n      "entries": ' + (f"[\n{entries}\n      ]" if entries else "[]")
+            + f',\n      "k": {b.k},\n      "kind": {json.dumps(b.kind)},\n      "m": {b.m},'
+            f'\n      "sign": {b.sign}\n    }}'
+        )
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return (f'{{\n  "blocks": {body},\n  "d": {d},\n  "kind": "martingale_blocks",'
+            f'\n  "schema": {SCHEMA_VERSION}\n}}\n')
+
+
 def blocks_from_dict(obj, path="<memory>"):
     _check_schema(obj, path)
     d = int(_require(obj, "d", path))
@@ -328,12 +419,17 @@ def write_arc_bundle(path, bundle):
 # CSV
 
 
-def write_samples_csv(path, samples):
+def samples_csv_text(samples):
+    """One line per grid cell, its components as repr floats joined by commas."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
-    lines = [",".join(repr(float(x)) for x in row) for row in samples]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    line = ",".join(["%r"] * samples.shape[1])
+    return "\n".join([line] * len(samples)) % tuple(samples.ravel().tolist()) + "\n"
+
+
+def write_samples_csv(path, samples):
+    atomic_write_text(path, samples_csv_text(samples))
 
 
 def read_samples_csv(path):
@@ -342,29 +438,32 @@ def read_samples_csv(path):
         text = path.read_text()
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
-    rows = []
-    width = None
+    rows = [line.split(",") for line in map(str.strip, text.splitlines()) if line]
+    if not rows:
+        raise ParseError("no data rows", path=str(path))
+    width = len(rows[0])
+    try:
+        if all(len(cells) == width for cells in rows):
+            arr = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+            return arr if width == 1 else arr.reshape(len(rows), width)
+    except ValueError:
+        pass
+    # Name the first bad line.
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        cells = line.strip().split(",")
+        if cells == [""]:
             continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if len(cells) != width:
             raise ParseError(
                 f"expected {width} columns, found {len(cells)}",
                 path=str(path),
                 line=lineno,
             )
         try:
-            rows.append([float(c) for c in cells])
+            [float(c) for c in cells]
         except ValueError as exc:
             raise ParseError(str(exc), path=str(path), line=lineno) from exc
-    if not rows:
-        raise ParseError("no data rows", path=str(path))
-    arr = np.array(rows)
-    return arr[:, 0] if arr.shape[1] == 1 else arr
+    raise ParseError("unreadable rows", path=str(path))
 
 
 def write_matrix_csv(path, matrix):

@@ -43,15 +43,10 @@ class ShiftOperator:
 
 
 def _apply(op: ShiftOperator, coeffs: HaarCoeffs) -> HaarCoeffs:
-    out = {}
-    for (t, i), c in coeffs.entries.items():
-        if not op.acts_on_depth(t):
-            continue
-        if i % 2 == 0:
-            out[(t, i + 1)] = c.copy()
-        else:
-            out[(t, i - 1)] = -c
-    return coeffs.zeros_like(out)
+    acting = [t for t in range(1, coeffs.depth_limit + 1) if op.acts_on_depth(t)]
+    keep = np.isin(coeffs.depths, acting)
+    src, vals = coeffs.positions[keep], coeffs.values[keep]
+    return coeffs.zeros_like((src ^ 1, np.where(src[:, None] % 2 == 0, vals, -vals)))
 
 
 def apply_s0(coeffs: HaarCoeffs) -> HaarCoeffs:

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from haartorus import (
+    ShiftOperator,
     apply_sj,
     haar_analyze,
+    lp_norm_estimate,
     make_poly,
+    matrix_operator,
+    operator_matrix,
     random_ek_element,
     riesz_apply,
 )
@@ -79,6 +83,26 @@ class TestExitCodes:
         assert captured.out == ""
         for text in (str(path), *named):
             assert text in captured.err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_usage_error(self, tmp_path, capsys, cell):
+        src, out = tmp_path / "samples.csv", tmp_path / "coeffs.json"
+        src.write_text(f"1.0\n{cell}\n2.0\n3.0\n")
+        assert main(["haar", "analyze", "--input", str(src), "--output", str(out)]) \
+            == EXIT_USAGE
+        assert not out.exists()
+        assert "not finite" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "haar_coeffs", "depth_limit": 2,
+                                    "value_dim": 1, "mean": [0.0],
+                                    "entries": [{"depth": 2, "index": 1,
+                                                 "value": [float("nan")]}]}))
+        assert main(["haar", "synthesize", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "(2, 1)" in captured.err
 
     @pytest.mark.parametrize("re, im", [
         ([float("nan")], [0.0]),
@@ -336,6 +360,18 @@ class TestNormCommands:
                                     "--depth", "6"])
         assert rc == EXIT_OK
         assert obj["estimate"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("depth", [1, 5, 8])
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 4.0])
+    def test_s0_estimate_equals_the_dense_matrix_path(self, capsys, depth, p):
+        rc, obj = run_json(capsys, ["norm", "estimate", "--operator", "s0",
+                                    "--depth", str(depth), "--p", repr(p)])
+        assert rc == EXIT_OK
+        assert obj["operator_id"] == f"s0[depth={depth},restricted]"
+        mat = operator_matrix(ShiftOperator("s0"), depth)[2:, 2:]
+        dense = lp_norm_estimate(matrix_operator([mat], obj["operator_id"]), p, seed=1)
+        assert obj["trace"] == list(dense.trace)
+        assert obj["estimate"] == dense.estimate and obj["iterations"] == dense.iterations
 
     def test_estimate_reports_its_trace(self, capsys):
         rc, obj = run_json(capsys, ["norm", "estimate", "--operator", "hilbert",

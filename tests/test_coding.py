@@ -87,6 +87,12 @@ class TestSignToss:
         assert set(prefix) <= {-1, 1}
         assert index_of_prefix(prefix) == index
 
+    @given(depth=st.integers(min_value=0, max_value=70), index=st.integers(-(1 << 80), 1 << 80))
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_reads_the_low_depth_bits(self, depth, index):
+        want = tuple(1 if ((index >> (depth - 1 - s)) & 1) == 0 else -1 for s in range(depth))
+        assert prefix_of_index(depth, index) == want
+
 
 class TestMartingaleBlocks:
     def small_coeffs(self):

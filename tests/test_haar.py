@@ -207,6 +207,49 @@ class TestHaarCoeffsContainer:
         with pytest.raises(InvalidInputError):
             HaarCoeffs(2, 1, np.zeros(1), np.zeros(1), {(3, 0): np.ones(1)})
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 3), st.data())
+    def test_malformed_rows_rejected(self, value_dim, extra, data):
+        shape = data.draw(st.sampled_from([(), (value_dim + 1 + extra,), (1, value_dim),
+                                           (value_dim, 1)]))
+        z = np.zeros(value_dim)
+        with pytest.raises(InvalidInputError):
+            HaarCoeffs(2, value_dim, z, z, {(1, 0): z, (2, 3): np.ones(shape)})
+        with pytest.raises(InvalidInputError):
+            HaarCoeffs(2, value_dim, z, z, (np.array([2, 3]), np.ones((2,) + shape)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 3)), st.sampled_from((np.nan, np.inf, -np.inf)),
+           st.sampled_from(("mean", "root", (1, 1), (3, 5))), st.booleans(), st.data())
+    def test_non_finite_values_rejected_by_name(self, value_dim, bad, where, imag, data):
+        parts = {"mean": np.zeros(value_dim), "root": np.ones(value_dim),
+                 (1, 1): np.ones(value_dim), (3, 5): np.full(value_dim, -2.0)}
+        if imag:
+            parts = {k: v + 0j for k, v in parts.items()}
+        parts[where] = parts[where].copy()
+        parts[where][data.draw(st.integers(0, value_dim - 1))] = complex(0, bad) if imag else bad
+        entries = {k: v for k, v in parts.items() if isinstance(k, tuple)}
+        with pytest.raises(InvalidInputError, match="not finite") as info:
+            HaarCoeffs(3, value_dim, parts["mean"], parts["root"], entries)
+        assert str(where) in str(info.value)
+
+    def test_depth_limit_beyond_int64_positions_rejected(self):
+        HaarCoeffs(62, 1, np.zeros(1), np.zeros(1), {(62, (1 << 62) - 1): np.ones(1)})
+        with pytest.raises(InvalidInputError):
+            HaarCoeffs(63, 1, np.zeros(1), np.zeros(1), {})
+
+    def test_repeated_position_rejected(self):
+        with pytest.raises(InvalidInputError, match="repeated"):
+            HaarCoeffs(2, 1, np.zeros(1), np.zeros(1), (np.array([5, 5]), np.ones((2, 1))))
+
+    def test_row_layout(self):
+        coeffs = HaarCoeffs(3, 1, np.zeros(1), np.zeros(1),
+                            {(3, 2): np.array([1.0]), (1, 1): np.array([0.0])})
+        assert coeffs.positions.tolist() == [3, 10]
+        assert coeffs.values.tolist() == [[0.0], [1.0]]
+        assert list(coeffs.entries) == [(1, 1), (3, 2)]
+        assert coeffs.entries is coeffs.entries
+
     def test_zeros_like_keeps_shape(self):
         coeffs = haar_analyze(np.arange(8.0))
         empty = coeffs.zeros_like()
