@@ -188,33 +188,6 @@ def _run_code_modulate(config):
     return EXIT_OK
 
 
-def _decay_result(config):
-    params = config.params
-    element = None
-    if config.input_path:
-        element = serialize.read_ek_element(config.input_path)
-    else:
-        element = coding.random_ek_element(
-            d=params["d"],
-            k_max=params["kmax"],
-            n_terms=params["terms"],
-            seed=config.seed,
-            max_mag=params["max_mag"],
-        )
-    return experiments.modulation_decay_experiment(element, params.get("A_list"))
-
-
-def _run_code_decay_sweep(config):
-    result = _decay_result(config)
-    if config.output_path:
-        serialize.write_modulation_sweep_csv(
-            config.output_path, result.A_values, result.aggregate_errors, result.slope
-        )
-    else:
-        _emit_json(config, serialize.decay_result_to_dict(result))
-    return EXIT_OK
-
-
 def _run_verify_hvs(config):
     params = config.params
     report = experiments.verify_lemma_hvs(
@@ -238,7 +211,18 @@ def _run_verify_hvs(config):
 
 
 def _run_experiment_modulation(config):
-    result = _decay_result(config)
+    params = config.params
+    if config.input_path:
+        element = serialize.read_ek_element(config.input_path)
+    else:
+        element = coding.random_ek_element(
+            d=params["d"],
+            k_max=params["kmax"],
+            n_terms=params["terms"],
+            seed=config.seed,
+            max_mag=params["max_mag"],
+        )
+    result = experiments.modulation_decay_experiment(element, params.get("A_list"))
     if config.output_path:
         serialize.write_modulation_sweep_csv(
             config.output_path, result.A_values, result.aggregate_errors, result.slope
@@ -336,7 +320,6 @@ _HANDLERS = {
     "code decompose": _run_code_decompose,
     "code check-ek": _run_code_check_ek,
     "code modulate": _run_code_modulate,
-    "code decay-sweep": _run_code_decay_sweep,
     "verify hvs": _run_verify_hvs,
     "experiment modulation": _run_experiment_modulation,
     "experiment duality": _run_experiment_duality,
@@ -467,15 +450,6 @@ def build_parser():
     p.add_argument("--input", required=True, help="constrained-spectrum JSON")
     p.add_argument("--A", type=int, required=True,
                    help="separation scale, must exceed twice the max frequency")
-    p = sub(code_sub, "decay-sweep", "aggregate multiplier error across scales")
-    p.add_argument("--input", default=None,
-                   help="constrained-spectrum JSON (default: seeded random)")
-    p.add_argument("--d", type=int, default=DEFAULT_D)
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--terms", type=int, default=30)
-    p.add_argument("--max-mag", type=int, default=7)
-    p.add_argument("--A-list", type=_int_list, default=None,
-                   help="comma-separated scales (default: 16..4096)")
 
     # verify ----------------------------------------------------------------
     ver = top.add_parser("verify", help="certify structural identities")
@@ -505,7 +479,8 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--terms", type=int, default=30)
     p.add_argument("--max-mag", type=int, default=7)
-    p.add_argument("--A-list", type=_int_list, default=None)
+    p.add_argument("--A-list", type=_int_list, default=None,
+                   help="comma-separated scales (default: 16..4096)")
     p.add_argument("--compare-golden", action="store_true",
                    help="compare the sweep against golden modulation_slope.csv")
     p = sub(exp_sub, "duality", "pairing chain between shifts and multipliers")

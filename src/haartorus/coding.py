@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .haar import DyadicNode, HaarCoeffs
-from .valuespace import vec_norm
 
 
 def _toss_value(prev_outcome, theta, first):
@@ -35,6 +34,11 @@ def path_outcomes(theta_points, depth, d=None):
         d = len(pts[0])
     if any(len(c) != d for c in pts):
         raise InvalidInputError("all clusters must have d coordinates")
+    for k, cluster in enumerate(pts):
+        for m, theta in enumerate(cluster):
+            if not math.isfinite(theta):
+                raise InvalidInputError(f"angle {theta} at cluster {k}, coordinate {m} "
+                                        "is not finite")
     needed = (depth - 1) // d + 1
     if len(pts) < needed:
         raise InvalidInputError(
@@ -358,8 +362,13 @@ class ScaledFrequency:
     entries: tuple
 
     def values(self):
+        try:
+            a = float(self.A)
+        except OverflowError:
+            raise InvalidInputError(f"A of {self.A.bit_length()} bits is beyond the float "
+                                    "range the multiplier is evaluated in") from None
         return tuple(
-            math.fsum(coef * float(self.A) ** offset for offset, coef in entry)
+            math.fsum(coef * a ** offset for offset, coef in entry)
             for entry in self.entries
         )
 
@@ -450,7 +459,7 @@ def modulation_difference(j, e: EkSpaceElement, A):
             exact = -1j * float((lm > 0) - (lm < 0))
         else:
             exact = 0.0 + 0.0j
-        rows.append(abs(approx - exact) * vec_norm(t.coeff))
+        rows.append(abs(approx - exact) * float(np.sqrt(np.sum(np.abs(t.coeff) ** 2))))
     return ModulationDifference(tuple(rows), float(math.fsum(rows)))
 
 
@@ -489,7 +498,7 @@ def duality_transfer_check(phi: EkSpaceElement, gammas, A):
             partner = gamma_poly.terms.get(t.freq)
             if partner is not None:
                 modulated_total += approx * complex(np.sum(t.coeff * np.conj(partner)))
-            gap_sq += (abs(approx - exact) * vec_norm(t.coeff)) ** 2
+            gap_sq += (abs(approx - exact) * float(np.sqrt(np.sum(np.abs(t.coeff) ** 2)))) ** 2
         gnorm = math.sqrt(max(inner_product(gamma_poly, gamma_poly).real, 0.0))
         bound += math.sqrt(gap_sq) * gnorm
     return sliced_total, modulated_total, bound

@@ -628,10 +628,6 @@ def _stack_amplitude(W):
     return np.sqrt(np.sum(W * W, axis=0))
 
 
-def _stack_p_norm(W, p):
-    return _vec_p_norm(_stack_amplitude(W), p)
-
-
 def _vec_p_norm(v, p):
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
@@ -701,29 +697,6 @@ def lp_norm_estimate(op: OperatorHandle, p, max_iter=400, tol=1e-13, seed=0,
         test_vector=best_v,
         trace=tuple(trace),
     )
-
-
-def resample_periodic(v, n_new):
-    """Band-limited resample of a periodic grid function (for warm starts)."""
-    n_old = len(v)
-    spec = np.fft.rfft(v)
-    out = np.zeros(n_new // 2 + 1, dtype=np.complex128)
-    keep = min(len(spec), len(out))
-    out[:keep] = spec[:keep]
-    return np.fft.irfft(out, n_new) * (n_new / n_old)
-
-
-def hilbert_norm_sweep(N_list, p=4.0, grid_factor=8, max_iter=600, seed=0):
-    """Norm estimates across cutoffs, warm-starting each from the previous."""
-    results = []
-    prev_vec = None
-    for N in N_list:
-        op = hilbert_multiplier_operator(N, grid_factor=grid_factor)
-        v0 = None if prev_vec is None else resample_periodic(prev_vec, op.dim)
-        est = lp_norm_estimate(op, p, max_iter=max_iter, seed=seed, v0=v0)
-        results.append(est)
-        prev_vec = est.test_vector
-    return results
 
 
 # ---------------------------------------------------------------------------

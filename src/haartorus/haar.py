@@ -10,23 +10,33 @@ Conventions (global for the whole package):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .valuespace import as_components
 
 MAX_DEPTH = 62  # positions 2^t + i are int64
 
 
+def _as_components(value, dim=None):
+    """Coerce a scalar or sequence to a 1-d numpy array of components."""
+    arr = np.atleast_1d(np.asarray(value))
+    if arr.ndim != 1:
+        raise InvalidInputError(f"value must be scalar or 1-d, got shape {arr.shape}")
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(np.float64)
+    if dim is not None and arr.shape[0] != dim:
+        raise InvalidInputError(f"expected {dim} components, got {arr.shape[0]}")
+    return arr
+
+
 @dataclass(frozen=True)
 class DyadicNode:
-    """A dyadic interval (or cube-splitting node when split_dim is set)."""
+    """The dyadic interval [index 2^-depth, (index+1) 2^-depth)."""
 
     depth: int
     index: int
-    split_dim: int | None = None
 
     def __post_init__(self):
         if self.depth < 0:
@@ -35,33 +45,6 @@ class DyadicNode:
             raise InvalidInputError(
                 f"index {self.index} out of range for depth {self.depth}"
             )
-
-    def parent(self):
-        if self.depth == 0:
-            raise InvalidInputError("the root node has no parent")
-        return DyadicNode(self.depth - 1, self.index // 2)
-
-    def children(self):
-        return (
-            DyadicNode(self.depth + 1, 2 * self.index),
-            DyadicNode(self.depth + 1, 2 * self.index + 1),
-        )
-
-    def sibling(self):
-        if self.depth == 0:
-            raise InvalidInputError("the root node has no sibling")
-        return DyadicNode(self.depth, self.index ^ 1)
-
-    @property
-    def is_left(self):
-        return self.index % 2 == 0
-
-
-def slice_of(node, d):
-    """Residue class of the node's depth mod d (which slice it belongs to)."""
-    if d < 1:
-        raise InvalidInputError(f"slicing dimension must be >= 1, got {d}")
-    return node.depth % d
 
 
 def basis_position(depth, index):
@@ -81,8 +64,8 @@ class HaarCoeffs:
         if not 0 <= depth_limit <= MAX_DEPTH:
             raise InvalidInputError(f"depth_limit {depth_limit} outside [0, {MAX_DEPTH}]")
         self.depth_limit, self.value_dim = int(depth_limit), int(value_dim)
-        self.mean_part = as_components(mean_part, value_dim)
-        self.root_part = as_components(root_part, value_dim)
+        self.mean_part = _as_components(mean_part, value_dim)
+        self.root_part = _as_components(root_part, value_dim)
         if isinstance(entries, dict):
             for (t, i), v in entries.items():
                 if not (1 <= t <= depth_limit and 0 <= i < 1 << t and np.shape(v) == (value_dim,)):
@@ -145,7 +128,7 @@ def coeff_inner(a: HaarCoeffs, b: HaarCoeffs):
 
 def _as_sample_array(samples):
     if not isinstance(samples, np.ndarray):
-        samples = np.stack([as_components(getattr(s, "components", s)) for s in samples])
+        samples = np.stack([_as_components(s) for s in samples])
     arr = samples[:, None] if samples.ndim == 1 else samples
     if arr.ndim != 2:
         raise InvalidInputError(f"samples must be 1-d or 2-d, got shape {arr.shape}")
@@ -198,29 +181,6 @@ def haar_synthesize(coeffs: HaarCoeffs):
     return cur
 
 
-def haar_basis_function(depth_limit, mode):
-    """Grid samples of one basis element; mode is 'mean' or a (depth, index) pair."""
-    n = 1 << (depth_limit + 1)
-    if mode == "mean":
-        return np.ones(n)
-    t, i = mode
-    root, entries = (np.ones(1), {}) if t == 0 else (np.zeros(1), {(t, i): np.ones(1)})
-    return haar_synthesize(HaarCoeffs(depth_limit, 1, np.zeros(1), root, entries))[:, 0]
-
-
-def interval_cube_bijection(node: DyadicNode, d):
-    """Swap a node between interval mode and cube mode (slice = split direction)."""
-    if d < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {d}")
-    if node.split_dim is None:
-        return replace(node, split_dim=node.depth % d)
-    if node.split_dim != node.depth % d:
-        raise InvalidInputError(
-            f"cube node split_dim {node.split_dim} inconsistent with depth {node.depth} mod {d}"
-        )
-    return replace(node, split_dim=None)
-
-
 def cube_haar_eval(node: DyadicNode, point, root_mode=False):
     """Evaluate the iterated cube Haar function h_Q at a point of [0,1)^d.
 
@@ -234,8 +194,6 @@ def cube_haar_eval(node: DyadicNode, point, root_mode=False):
         raise InvalidInputError("point must lie in the half-open unit cube")
     if root_mode:
         return 1.0
-    if node.split_dim is not None and node.split_dim != node.depth % d:
-        raise InvalidInputError("node split_dim inconsistent with point dimension")
     lo = np.zeros(d)
     hi = np.ones(d)
     t = node.depth

@@ -411,10 +411,6 @@ def arc_bundle_to_dict(bundle):
     }
 
 
-def write_arc_bundle(path, bundle):
-    write_json(path, arc_bundle_to_dict(bundle))
-
-
 # ---------------------------------------------------------------------------
 # CSV
 

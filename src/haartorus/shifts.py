@@ -64,13 +64,6 @@ def apply_sj(j, d, coeffs: HaarCoeffs) -> HaarCoeffs:
     return _apply(ShiftOperator("sj", j=j, d=d), coeffs)
 
 
-def apply_riesz_vector(d, coeffs: HaarCoeffs):
-    """All d sliced components, in order j = 1..d."""
-    if d < 1:
-        raise InvalidInputError(f"d must be >= 1, got {d}")
-    return [apply_sj(j, d, coeffs) for j in range(1, d + 1)]
-
-
 def signed_permutation(op: ShiftOperator, depth_limit):
     """The shift on the truncated basis as index and sign arrays (src, dst, sign).
 

@@ -167,32 +167,6 @@ class TrigPoly:
             raise InvalidInputError(f"point has shape {theta.shape}, expected ({self.total_dim},)")
         return np.exp(1j * (self.freqs @ theta)) @ self.coeffs
 
-    def is_real_valued(self, tol=0.0):
-        idx = _lookup(self.freqs, -self.freqs)
-        gap = np.abs(np.conj(self.coeffs[idx]) - self.coeffs)
-        return bool((idx >= 0).all() and (gap <= tol).all())
-
-    def max_frequency(self):
-        return int(np.abs(self.freqs).max(initial=0))
-
-
-def make_poly(d, clusters, terms, value_dim=1):
-    return TrigPoly(d, clusters, dict(terms), value_dim)
-
-
-def _axis_pair(var_index, d, clusters, c_plus, c_minus):
-    e = np.zeros((1, d * clusters), dtype=np.int64)
-    e[0, var_index] = 1
-    return TrigPoly(d, clusters, (np.concatenate((e, -e)), [[c_plus], [c_minus]]))
-
-
-def cos_poly(var_index, d, clusters=1):
-    return _axis_pair(var_index, d, clusters, 0.5 + 0.0j, 0.5 + 0.0j)
-
-
-def sin_poly(var_index, d, clusters=1):
-    return _axis_pair(var_index, d, clusters, -0.5j, 0.5j)
-
 
 def embed_variable(p: TrigPoly, var_index, d, clusters=1):
     """Re-house a single-variable poly as depending on one coordinate of a stack."""
@@ -264,10 +238,6 @@ def inner_product(p: TrigPoly, q: TrigPoly):
     return complex(np.sum(p.coeffs[idx[hit]] * np.conj(q.coeffs[hit])))
 
 
-def poly_norm(p: TrigPoly):
-    return math.sqrt(max(inner_product(p, p).real, 0.0))
-
-
 @dataclass(frozen=True)
 class ArcBundle:
     """Arc-indexed family of polys, the image of the quarter-arc projection.
@@ -318,13 +288,3 @@ def bundle_poly_inner(a: ArcBundle, q: TrigPoly):
         pair = np.sum(a.arcs[n].coeffs[idx[hit]] * np.conj(q.coeffs[hit]), axis=1)
         total += complex(np.sum(pair * weights[hit, col]))
     return total
-
-
-def bundle_norm(a: ArcBundle):
-    return math.sqrt(max(bundle_inner(a, a).real, 0.0))
-
-
-def bundle_combine(a: ArcBundle, b: ArcBundle, ca=1.0, cb=1.0):
-    if a.var != b.var:
-        raise InvalidInputError("bundles project different variables")
-    return ArcBundle(a.var, {n: a.arcs[n].scale(ca).add(b.arcs[n].scale(cb)) for n in ARC_NS})

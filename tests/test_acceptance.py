@@ -13,10 +13,10 @@ import pytest
 from haartorus import (
     HaarCoeffs,
     ShiftOperator,
+    TrigPoly,
     evaluate_blocks_at_path,
     haar_analyze,
     haar_synthesize,
-    make_poly,
     martingale_decompose,
     operator_matrix,
     random_paths,
@@ -98,8 +98,8 @@ def test_03_vector_norm_is_dimension_free():
 
 def test_04_multiplier_rotation_table():
     t0 = time.perf_counter()
-    sin1 = make_poly(2, 1, {(1, 0): -0.5j, (-1, 0): 0.5j})
-    cos1 = make_poly(2, 1, {(1, 0): 0.5 + 0.0j, (-1, 0): 0.5 + 0.0j})
+    sin1 = TrigPoly(2, 1, {(1, 0): -0.5j, (-1, 0): 0.5j})
+    cos1 = TrigPoly(2, 1, {(1, 0): 0.5 + 0.0j, (-1, 0): 0.5 + 0.0j})
     assert poly_terms(riesz_apply(1, sin1)) == {(1, 0): -0.5, (-1, 0): -0.5}
     assert poly_terms(riesz_apply(1, cos1)) == {(1, 0): -0.5j, (-1, 0): 0.5j}
     assert poly_terms(riesz_apply(2, cos1)) == {}

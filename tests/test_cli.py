@@ -8,10 +8,10 @@ import pytest
 
 from haartorus import (
     ShiftOperator,
+    TrigPoly,
     apply_sj,
     haar_analyze,
     lp_norm_estimate,
-    make_poly,
     matrix_operator,
     operator_matrix,
     random_ek_element,
@@ -122,6 +122,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert str(path) in captured.err and "terms[0]" in captured.err
 
+    def test_scale_beyond_float_range_is_usage_error(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        out = tmp_path / "sweep.csv"
+        assert main(["experiment", "modulation", "--A-list", f"16,{huge}",
+                     "--output", str(out)]) == EXIT_USAGE
+        assert "A of 1329 bits" in capsys.readouterr().err and not out.exists()
+        # the exact-integer modulation itself still runs at that scale
+        src = tmp_path / "e.json"
+        write_json(src, {
+            "schema": 1, "kind": "ek_element", "d": 2, "clusters": 1,
+            "value_dim": 1,
+            "terms": [{"k": 0, "m": 0, "sign": 1, "freq": [1, 0],
+                       "re": [1.0], "im": [0.0]}],
+        })
+        rc, obj = run_json(capsys, ["code", "modulate", "--input", str(src), "--A", huge])
+        assert rc == EXIT_OK and obj["terms"][0]["stacked"] == [10**400, 0]
+
     def test_oversized_matrix_is_internal_error(self, capsys):
         rc = main(["shift", "matrix", "--op", "s0", "--depth", "13"])
         assert rc == EXIT_INTERNAL
@@ -185,7 +202,7 @@ class TestTorusCommands:
         assert freqs == [-5, -3, -1, 1, 3, 5]
 
     def test_riesz_matches_library(self, rng, tmp_path, capsys):
-        p = make_poly(2, 1, {(1, 2): 1.0 + 0.5j, (-3, 1): 2.0 + 0.0j})
+        p = TrigPoly(2, 1, {(1, 2): 1.0 + 0.5j, (-3, 1): 2.0 + 0.0j})
         src = tmp_path / "poly.json"
         write_trig_poly(src, p)
         rc, obj = run_json(capsys, ["torus", "riesz", "--input", str(src),
@@ -199,7 +216,7 @@ class TestTorusCommands:
 
     def test_project_reports_arc_constants(self, tmp_path, capsys):
         src = tmp_path / "cos.json"
-        write_trig_poly(src, make_poly(1, 1, {(1,): 0.5 + 0.0j, (-1,): 0.5 + 0.0j}))
+        write_trig_poly(src, TrigPoly(1, 1, {(1,): 0.5 + 0.0j, (-1,): 0.5 + 0.0j}))
         rc, obj = run_json(capsys, ["torus", "project", "--input", str(src),
                                     "--var", "1"])
         assert rc == EXIT_OK
@@ -253,7 +270,7 @@ class TestCodeCommands:
 
     def test_decay_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        rc = main(["code", "decay-sweep", "--A-list", "16,32,64",
+        rc = main(["experiment", "modulation", "--A-list", "16,32,64",
                    "--output", str(out)])
         assert rc == EXIT_OK
         rows, slope = read_modulation_sweep_csv(out)
@@ -264,7 +281,7 @@ class TestCodeCommands:
         paths = []
         for seed in ("1", "2"):
             out = tmp_path / f"sweep{seed}.csv"
-            assert main(["--seed", seed, "code", "decay-sweep",
+            assert main(["--seed", seed, "experiment", "modulation",
                          "--A-list", "16,32", "--output", str(out)]) == EXIT_OK
             paths.append(out.read_text())
         assert paths[0] != paths[1]

@@ -64,6 +64,18 @@ class TestSignToss:
         with pytest.raises(InvalidInputError):
             path_outcomes([(1.0, 1.0), (1.0,)], 4)
 
+    @given(clusters=st.integers(1, 3), d=st.integers(1, 3), data=st.data(),
+           bad=st.sampled_from((math.nan, math.inf, -math.inf)))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_angle_rejected_by_position(self, clusters, d, data, bad):
+        k = data.draw(st.integers(0, clusters - 1))
+        m = data.draw(st.integers(0, d - 1))
+        points = [[0.5] * d for _ in range(clusters)]
+        points[k][m] = bad
+        with pytest.raises(InvalidInputError,
+                           match=f"at cluster {k}, coordinate {m} is not finite"):
+            path_outcomes(points, data.draw(st.integers(1, clusters * d)))
+
     def test_outcomes_uniform_over_leaves(self):
         depth, count = 3, 100_000
         counts = np.zeros(1 << depth, dtype=np.int64)

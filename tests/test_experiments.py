@@ -17,7 +17,6 @@ from haartorus import (
     duality_chain_check,
     embed_variable,
     hilbert_multiplier_operator,
-    hilbert_norm_sweep,
     identity_operator,
     lp_norm_estimate,
     make_ek_element,
@@ -33,12 +32,11 @@ from haartorus import (
 from haartorus.experiments import (
     _coord_expectation,
     _fsum_complex,
-    _stack_p_norm,
+    _stack_amplitude,
     _transform_factor,
     _vec_p_norm,
     fitted_wave_constant,
     random_mean_zero_coeffs,
-    resample_periodic,
 )
 
 
@@ -261,7 +259,7 @@ class TestNormEstimation:
         op = matrix_operator([M], "dense10")
         est = lp_norm_estimate(op, 3.0, max_iter=60)
         v = est.test_vector / _vec_p_norm(est.test_vector, 3.0)
-        assert _stack_p_norm(op.apply(v), 3.0) == pytest.approx(
+        assert _vec_p_norm(_stack_amplitude(op.apply(v)), 3.0) == pytest.approx(
             est.estimate, abs=1e-12)
 
     def test_shift_vector_unit_norm_on_restricted_span(self):
@@ -293,8 +291,8 @@ class TestNormEstimation:
         assert est.estimate == pytest.approx(1.0, abs=1e-6)
 
     def test_band_multiplier_sweep_monotone(self):
-        sweep = hilbert_norm_sweep([64, 128, 256], p=4.0)
-        values = [e.estimate for e in sweep]
+        values = [lp_norm_estimate(hilbert_multiplier_operator(N), 4.0, max_iter=600).estimate
+                  for N in (64, 128, 256)]
         assert values[0] < values[1] < values[2]
         assert all(1.5 < v < 1.0 + math.sqrt(2.0) for v in values)
 
@@ -303,13 +301,6 @@ class TestNormEstimation:
         for row, d in zip(rows, (1, 2, 3)):
             assert row.d == d
             assert row.estimate == pytest.approx(1.0, abs=1e-10)
-
-    def test_resample_preserves_band_limited_signals(self):
-        k = np.arange(64)
-        v = np.cos(2.0 * math.pi * 3.0 * k / 64.0)
-        fine = resample_periodic(v, 128)
-        expected = np.cos(2.0 * math.pi * 3.0 * np.arange(128) / 128.0)
-        assert np.max(np.abs(fine - expected)) <= 1e-12
 
     def test_invalid_arguments_rejected(self):
         op = identity_operator(8)

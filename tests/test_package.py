@@ -11,5 +11,5 @@ def test_all_lists_public_names_and_no_submodule():
     for name in haartorus.__all__:
         assert not isinstance(getattr(haartorus, name), types.ModuleType), name
     # the submodules stay reachable as attributes, only unlisted
-    for layer in ("haar", "shifts", "torus", "coding", "experiments", "valuespace"):
+    for layer in ("haar", "shifts", "torus", "coding", "experiments"):
         assert isinstance(getattr(haartorus, layer), types.ModuleType)

@@ -18,3 +18,19 @@ def test_make_golden_reproduces_golden_without_pythonpath(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("c0.json", "modulation_slope.csv", "dimension_free.csv"):
         assert (out / name).read_bytes() == (REPO / "golden" / name).read_bytes(), name
+
+
+def test_quick_experiment_reports_are_byte_identical_across_reruns(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        done = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_experiments.py"), "--quick",
+             "--out-dir", str(tmp_path / name)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert sorted(reports[0]) == ["dimension_sweep.csv", "duality_runs.json",
+                                  "hilbert_growth.json", "lemma_reports.json",
+                                  "modulation_sweep.csv"]
+    assert reports[0] == reports[1]

@@ -14,8 +14,8 @@ from haartorus import (
     InvalidInputError,
     MartingaleBlock,
     ParseError,
+    TrigPoly,
     haar_analyze,
-    make_poly,
     martingale_decompose,
     random_ek_element,
 )
@@ -108,7 +108,7 @@ class TestJsonSchemas:
         assert exc.value.field == "mean"
 
     def test_trig_poly_roundtrip(self):
-        p = make_poly(2, 1, {(1, -3): 0.5 - 0.25j, (-1, 3): 0.5 + 0.25j})
+        p = TrigPoly(2, 1, {(1, -3): 0.5 - 0.25j, (-1, 3): 0.5 + 0.25j})
         back = trig_poly_from_dict(trig_poly_to_dict(p))
         assert set(back.terms) == set(p.terms)
         for f, c in p.terms.items():

@@ -10,7 +10,6 @@ from haartorus import (
     InvalidInputError,
     ResourceLimitError,
     ShiftOperator,
-    apply_riesz_vector,
     apply_s0,
     apply_sj,
     basis_position,
@@ -75,7 +74,7 @@ class TestSiblingRule:
         f = random_coeffs(rng, 6)
         d = 3
         total = {}
-        for comp in apply_riesz_vector(d, f):
+        for comp in [apply_sj(j, d, f) for j in range(1, d + 1)]:
             for key, c in comp.entries.items():
                 total[key] = total.get(key, 0.0) + c[0]
         full = apply_s0(f)
@@ -179,7 +178,7 @@ class TestEnergyIdentities:
         # sum_j ||S_j f||^2 recovers the energy off the two root modes
         f = random_coeffs(rng, 6)
         d = 3
-        total = sum(c.coefficient_norm_sq() for c in apply_riesz_vector(d, f))
+        total = sum(apply_sj(j, d, f).coefficient_norm_sq() for j in range(1, d + 1))
         off_root = (f.coefficient_norm_sq()
                     - float(f.mean_part[0] ** 2) - float(f.root_part[0] ** 2))
         assert abs(total - off_root) <= 1e-12 * max(1.0, off_root)
@@ -193,14 +192,14 @@ class TestEnergyIdentities:
 
     def test_component_images_mutually_orthogonal(self, rng):
         f = random_coeffs(rng, 6)
-        comps = apply_riesz_vector(3, f)
+        comps = [apply_sj(j, 3, f) for j in range(1, 4)]
         for a in range(3):
             for b in range(a + 1, 3):
                 assert coeff_inner(comps[a], comps[b]) == 0.0
 
     def test_d_one_reduces_to_full_shift(self, rng):
         f = random_coeffs(rng, 5)
-        (only,) = apply_riesz_vector(1, f)
+        only = apply_sj(1, 1, f)
         full = apply_s0(f)
         assert set(only.entries) == set(full.entries)
         for key, c in only.entries.items():
