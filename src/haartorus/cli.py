@@ -93,13 +93,18 @@ def _run_shift_matrix(config):
     j = config.params["j"] if kind == "sj" else None
     d = config.params["d"] if kind == "sj" else None
     op = shifts.ShiftOperator(kind, j=j, d=d)
-    mat = shifts.operator_matrix(op, config.params["depth"])
-    if config.output_path:
-        serialize.write_matrix_csv(config.output_path, mat)
-    else:
-        sys.stdout.write(
-            "\n".join(",".join(str(int(x)) for x in row) for row in mat) + "\n"
+    depth = config.params["depth"]
+    if depth > shifts.MAX_MATRIX_DEPTH:
+        raise ResourceLimitError(
+            f"depth_limit {depth} exceeds the dense-basis cap {shifts.MAX_MATRIX_DEPTH}"
         )
+    # streamed row by row: the dense matrix of depth 12 alone would take 512 MiB
+    src, dst, sign = shifts.signed_permutation(op, depth)
+    lines = serialize.signed_permutation_csv_lines(1 << (depth + 1), src, dst, sign)
+    if config.output_path:
+        serialize.atomic_write_lines(config.output_path, lines)
+    else:
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

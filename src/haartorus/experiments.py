@@ -168,7 +168,9 @@ def fitted_wave_constant(N):
 # total) for a trig polynomial reduced to per-arc integrals against the
 # normalized measure. total is the compensated sum of the unsummed
 # contributions, taken once when the factor is built, so that a lone
-# mean-zero factor evaluates to an exact 0.0.
+# mean-zero factor evaluates to an exact 0.0. Factors are cached with
+# read-only arrays: the four indicators and two patterns once per process,
+# a transform factor per (j, d, N, c0, sigma, variant), all it depends on.
 #
 # An x entry with prefix P at block depth t is paired only with the mean
 # entry and the y entries (s, P[:s]), s <= t. Every other pair is an exact
@@ -176,11 +178,26 @@ def fitted_wave_constant(N):
 # 0.5(1 + p) and 0.5(1 - p) with p = +-1 there, and a y entry deeper than t
 # leaves its pattern factor alone, whose total is an exact 0.0. The pairs
 # that remain are summed in y order, so the total is the all-pairs total.
+#
+# One walk scores all three variants, which differ only in the x factor at
+# coordinate t. A pair's product multiplies its coordinate expectations in
+# coordinate order from 1: the diagonal ones of the shared indicators below
+# s, kept as a running prefix product along the walk; coordinate s against
+# y's pattern; x's indicators alone; last the variant's top factor. Each
+# expectation is looked up in a per-pairing table keyed by its two factor
+# objects. A zero expectation drops the pair, as it does in the all-pairs
+# product, so every total is bit for bit the all-pairs total.
 
 
 def _fsum_complex(values):
     values = np.asarray(values, dtype=np.complex128).ravel()
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def _frozen_factor(kind, vec, total):
+    vec = np.array(vec, dtype=np.complex128)
+    vec.flags.writeable = False
+    return (kind, vec, total)
 
 
 @lru_cache(maxsize=None)
@@ -192,16 +209,17 @@ def _pattern_vec(kind):
 @lru_cache(maxsize=None)
 def _pattern_factor(sign):
     vec = _pattern_vec(_wave_kind(sign))
-    return ("arc", np.array(vec, dtype=np.complex128), _fsum_complex(vec))
+    return _frozen_factor("arc", vec, _fsum_complex(vec))
 
 
 @lru_cache(maxsize=None)
 def _indicator_factor(outcome, prev_outcome):
     pattern = _pattern_vec(_wave_kind(prev_outcome))
     vec = tuple(0.5 * (1.0 + outcome * p) for p in pattern)
-    return ("arc", np.array(vec, dtype=np.complex128), _fsum_complex(vec))
+    return _frozen_factor("arc", vec, _fsum_complex(vec))
 
 
+@lru_cache(maxsize=64)
 def _transform_factor(j, d, N, c0, sigma, variant):
     """Coordinate factor replacing the image wave through the multiplier.
 
@@ -222,7 +240,7 @@ def _transform_factor(j, d, N, c0, sigma, variant):
         re, im = re / TWO_PI, im / TWO_PI
     contrib = re + 1j * im
     kind = "arc" if variant == "projected" else "polyarc"
-    return (kind, contrib.sum(axis=0), _fsum_complex(contrib))
+    return _frozen_factor(kind, contrib.sum(axis=0), _fsum_complex(contrib))
 
 
 def _coord_expectation(fx, fy):
@@ -243,63 +261,72 @@ def _coord_expectation(fx, fy):
     return val
 
 
-def _entry_factor_map(prefix, top_factor, depth):
-    factors = {}
-    for s in range(depth):
-        prev = prefix[s - 1] if s > 0 else 1
-        factors[s] = _indicator_factor(prefix[s], prev)
-    if depth >= 0 and top_factor is not None:
-        factors[depth] = top_factor
-    return factors
+def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, N, c0):
+    """Expectations of (coded shift of f) times g over the coding measure.
 
-
-def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, variant, N, c0):
-    """Expectation of (coded shift of f) times g over the coding measure.
-
-    variant "exact" keeps the image waves; "projected" and "plain" replace
-    them through the multiplier identity divided by the reference constant.
+    Returns the totals of three variants, (exact, projected, plain): "exact"
+    keeps the image waves; "projected" and "plain" replace them through the
+    multiplier identity divided by the reference constant.
     """
     fb = coded_shift_blocks(j, d, martingale_decompose(f, d, f.depth_limit // d))
     gb = martingale_decompose(g, d, g.depth_limit // d)
 
-    y_entries = []
-    y_position = {}
+    y_at = {}
     for by in gb:
-        t_y = block_depth(by, d)
         top = None if by.kind == "mean" else _pattern_factor(by.sign)
         for prefix, w in by.entries.items():
-            y_position[(t_y, prefix)] = len(y_entries)
-            y_entries.append(
-                (_entry_factor_map(prefix, top, t_y), np.asarray(w, dtype=float))
-            )
+            y_at[(block_depth(by, d), prefix)] = (top, np.asarray(w, dtype=float))
 
-    transformed = {}
-    total = 0.0 + 0.0j
+    table = {}
+
+    def expect(fx, fy):
+        key = (id(fx), id(fy))
+        val = table.get(key)
+        if val is None:
+            val = table[key] = _coord_expectation(fx, fy)
+        return val
+
+    tops_of = {}  # held for the whole pairing, so the table's ids stay unique
+    totals = [0.0 + 0.0j] * 3
     for bx in fb:
         t_x = block_depth(bx, d)
         sigma = -bx.sign
-        if variant == "exact":
-            top = _pattern_factor(bx.sign)
-        else:
-            if sigma not in transformed:
-                transformed[sigma] = _transform_factor(j, d, N, c0, sigma, variant)
-            top = transformed[sigma]
+        if sigma not in tops_of:
+            tops_of[sigma] = (_pattern_factor(bx.sign),
+                              _transform_factor(j, d, N, c0, sigma, "projected"),
+                              _transform_factor(j, d, N, c0, sigma, "plain"))
+        tops = tops_of[sigma]
+        # a y entry shallower than t_x leaves every top factor alone
+        lone_tops_vanish = all(expect(top, None) == 0.0 for top in tops)
         for prefix, w in bx.entries.items():
             wx = np.asarray(w, dtype=float)
-            fmap = _entry_factor_map(prefix, top, t_x)
-            ancestors = [(-1, ())] + [(t, prefix[:t]) for t in range(t_x + 1)]
-            for n in sorted(y_position[a] for a in ancestors if a in y_position):
-                ymap, wy = y_entries[n]
-                prod = 1.0 + 0.0j
-                for s in sorted(set(fmap) | set(ymap)):
-                    val = _coord_expectation(fmap.get(s), ymap.get(s))
+            xs = [_indicator_factor(o, prev) for o, prev in zip(prefix, (1,) + prefix)]
+            head = 1.0 + 0.0j  # diagonal expectations at coordinates below t_y
+            for t_y in range(-1, t_x + 1):
+                if t_y > 0:
+                    val = expect(xs[t_y - 1], xs[t_y - 1])
                     if val == 0.0:
-                        prod = 0.0 + 0.0j
                         break
+                    head *= val
+                y = y_at.get((t_y, prefix[:t_y] if t_y > 0 else ()))
+                if y is None or (t_y < t_x and lone_tops_vanish):
+                    continue
+                y_top, wy = y
+                # coordinate t_y against y's pattern, then x's indicators alone
+                rest = [expect(xs[s], y_top if s == t_y else None)
+                        for s in range(max(t_y, 0), t_x)]
+                if 0.0 in rest:
+                    continue
+                prod = head
+                for val in rest:
                     prod *= val
-                if prod != 0.0:
-                    total += float(np.dot(wx, wy)) * prod
-    return total
+                dot = float(np.dot(wx, wy))
+                y_last = y_top if t_y == t_x else None
+                for v, top in enumerate(tops):
+                    val = expect(top, y_last)
+                    if val != 0.0 and prod * val != 0.0:
+                        totals[v] += dot * (prod * val)
+    return tuple(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +393,10 @@ def duality_chain_check(f: HaarCoeffs, partners, d, p=2.0, A=1024, N=1024,
     multiplier = 0.0 + 0.0j
     for j in range(1, d + 1):
         a += coeff_inner(apply_sj(j, d, f), partners[j - 1])
-        coded += _coded_pairing(j, d, f, partners[j - 1], "exact", N, c0)
-        projected += _coded_pairing(j, d, f, partners[j - 1], "projected", N, c0)
-        multiplier += _coded_pairing(j, d, f, partners[j - 1], "plain", N, c0)
+        exact, proj, plain = _coded_pairing(j, d, f, partners[j - 1], N, c0)
+        coded += exact
+        projected += proj
+        multiplier += plain
 
     chat = fitted_wave_constant(N)
     fuzz = 1e-12 * (1.0 + abs(a))
@@ -632,8 +660,7 @@ def _vec_p_norm(v, p):
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
 
-def lp_norm_estimate(op: OperatorHandle, p, max_iter=400, tol=1e-13, seed=0,
-                     v0=None):
+def lp_norm_estimate(op: OperatorHandle, p, max_iter=400, tol=1e-13, seed=0):
     """Certified lower bound for the operator norm on mean-normalized L^p.
 
     Fixed-point iteration: push the current vector through the operator,
@@ -645,19 +672,8 @@ def lp_norm_estimate(op: OperatorHandle, p, max_iter=400, tol=1e-13, seed=0,
     if not 1.0 < p < float("inf"):
         raise InvalidInputError(f"exponent must lie in (1, inf), got {p}")
     q = p / (p - 1.0)
-    if v0 is None:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(op.dim)
-    else:
-        v = np.asarray(v0, dtype=float).copy()
-        if v.shape != (op.dim,):
-            raise InvalidInputError(
-                f"start vector has shape {v.shape}, expected ({op.dim},)"
-            )
-    nv = _vec_p_norm(v, p)
-    if nv == 0.0:
-        raise InvalidInputError("start vector must be nonzero")
-    v = v / nv
+    v = np.random.default_rng(seed).standard_normal(op.dim)
+    v = v / _vec_p_norm(v, p)
 
     best = -1.0
     best_v = v.copy()

@@ -40,6 +40,21 @@ def atomic_write_text(path, text):
         raise
 
 
+def atomic_write_lines(path, lines):
+    """atomic_write_text for text given as an iterable of lines, written as they come."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def dumps_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -466,6 +481,23 @@ def write_matrix_csv(path, matrix):
     matrix = np.asarray(matrix)
     lines = [",".join(str(int(x)) for x in row) for row in matrix]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def signed_permutation_csv_lines(n, src, dst, sign):
+    """CSV lines of the n x n integer matrix with sign[k] at row dst[k], column src[k].
+
+    Each row holds at most one nonzero, so the lines are made one at a time
+    from (column, value) and the matrix itself never exists; they are the
+    lines write_matrix_csv writes for that matrix.
+    """
+    entry = dict(zip(dst.tolist(), zip(src.tolist(), sign.tolist())))
+    zero_row = ",".join(["0"] * n) + "\n"
+    for row in range(n):
+        if row not in entry:
+            yield zero_row
+        else:
+            col, value = entry[row]
+            yield "0," * col + str(value) + ",0" * (n - 1 - col) + "\n"
 
 
 def write_modulation_sweep_csv(path, A_values, errors, slope):

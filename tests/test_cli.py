@@ -35,6 +35,7 @@ from haartorus.serialize import (
     write_ek_element,
     write_haar_coeffs,
     write_json,
+    write_matrix_csv,
     write_samples_csv,
     write_trig_poly,
 )
@@ -178,6 +179,26 @@ class TestShiftCommands:
     def test_matrix_stdout_depth_one(self, capsys):
         assert main(["shift", "matrix", "--op", "s0", "--depth", "1"]) == EXIT_OK
         assert capsys.readouterr().out == "0,0,0,0\n0,0,0,0\n0,0,0,-1\n0,0,1,0\n"
+
+    @pytest.mark.parametrize("op", [
+        ShiftOperator("s0"),
+        ShiftOperator("sj", j=1, d=1),
+        ShiftOperator("sj", j=1, d=2),
+        ShiftOperator("sj", j=2, d=2),
+        ShiftOperator("sj", j=3, d=3),
+    ], ids=lambda op: op.kind if op.d is None else f"s{op.j}of{op.d}")
+    def test_matrix_stream_equals_dense_rendering(self, op, capsys, tmp_path):
+        flags = ["--op", op.kind] + (["--j", str(op.j), "--d", str(op.d)] if op.d else [])
+        for depth in range(9):
+            dense = tmp_path / f"dense{depth}.csv"
+            write_matrix_csv(dense, operator_matrix(op, depth))
+            want = dense.read_text()
+            argv = ["shift", "matrix", *flags, "--depth", str(depth)]
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == want
+            out = tmp_path / f"streamed{depth}.csv"
+            assert main(argv + ["--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == dense.read_bytes()
 
     def test_apply_matches_library(self, rng, tmp_path, capsys):
         coeffs = haar_analyze(rng.standard_normal(32))

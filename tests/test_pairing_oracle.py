@@ -14,7 +14,7 @@ from haartorus.coding import block_depth, coded_shift_blocks, martingale_decompo
 from haartorus.experiments import (
     _coord_expectation,
     _coded_pairing,
-    _entry_factor_map,
+    _indicator_factor,
     _pattern_factor,
     _transform_factor,
 )
@@ -22,6 +22,16 @@ from haartorus.haar import HaarCoeffs
 
 CUTOFF = 64
 VARIANTS = ("exact", "projected", "plain")
+
+
+def _entry_factor_map(prefix, top_factor, depth):
+    factors = {}
+    for s in range(depth):
+        prev = prefix[s - 1] if s > 0 else 1
+        factors[s] = _indicator_factor(prefix[s], prev)
+    if depth >= 0 and top_factor is not None:
+        factors[depth] = top_factor
+    return factors
 
 
 def ref_coded_pairing(j, d, f, g, variant, N, c0):
@@ -99,9 +109,8 @@ def pairing_inputs(draw):
 def test_ancestor_walk_equals_all_pairs(inputs, variant):
     d, j, f, g = inputs
     c0 = 0.9
-    assert _coded_pairing(j, d, f, g, variant, CUTOFF, c0) == ref_coded_pairing(
-        j, d, f, g, variant, CUTOFF, c0
-    )
+    assert _coded_pairing(j, d, f, g, CUTOFF, c0)[VARIANTS.index(variant)] \
+        == ref_coded_pairing(j, d, f, g, variant, CUTOFF, c0)
 
 
 def test_dense_pairing_equals_all_pairs(golden_c0):
@@ -114,5 +123,5 @@ def test_dense_pairing_equals_all_pairs(golden_c0):
                        {k: rng.standard_normal(2) for k in entries})
         for j in range(1, d + 1):
             for variant in VARIANTS:
-                assert _coded_pairing(j, d, f, g, variant, CUTOFF, golden_c0) \
-                    == ref_coded_pairing(j, d, f, g, variant, CUTOFF, golden_c0)
+                got = _coded_pairing(j, d, f, g, CUTOFF, golden_c0)[VARIANTS.index(variant)]
+                assert got == ref_coded_pairing(j, d, f, g, variant, CUTOFF, golden_c0)
