@@ -261,15 +261,21 @@ def _coord_expectation(fx, fy):
     return val
 
 
-def _coded_pairing(j, d, f: HaarCoeffs, g: HaarCoeffs, N, c0):
+def _decompose(h: HaarCoeffs, d):
+    """Martingale blocks of h over as many clusters of d tosses as its depth fills."""
+    return martingale_decompose(h, d, h.depth_limit // d)
+
+
+def _coded_pairing(j, d, f_blocks, g: HaarCoeffs, N, c0):
     """Expectations of (coded shift of f) times g over the coding measure.
 
+    f enters as its blocks, `_decompose(f, d)`, which do not depend on j.
     Returns the totals of three variants, (exact, projected, plain): "exact"
     keeps the image waves; "projected" and "plain" replace them through the
     multiplier identity divided by the reference constant.
     """
-    fb = coded_shift_blocks(j, d, martingale_decompose(f, d, f.depth_limit // d))
-    gb = martingale_decompose(g, d, g.depth_limit // d)
+    fb = coded_shift_blocks(j, d, f_blocks)
+    gb = _decompose(g, d)
 
     y_at = {}
     for by in gb:
@@ -391,9 +397,10 @@ def duality_chain_check(f: HaarCoeffs, partners, d, p=2.0, A=1024, N=1024,
     coded = 0.0 + 0.0j
     projected = 0.0 + 0.0j
     multiplier = 0.0 + 0.0j
+    f_blocks = _decompose(f, d)
     for j in range(1, d + 1):
         a += coeff_inner(apply_sj(j, d, f), partners[j - 1])
-        exact, proj, plain = _coded_pairing(j, d, f, partners[j - 1], N, c0)
+        exact, proj, plain = _coded_pairing(j, d, f_blocks, partners[j - 1], N, c0)
         coded += exact
         projected += proj
         multiplier += plain

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,19 +27,44 @@ SQSIN_ARC_VALUES = {-2: -1.0, -1: -1.0, 0: 1.0, 1: 1.0}
 
 _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
+
+def _arc_numerators():
+    """Arc-integral numerators a + bi = i^(r(n+1)) - i^(rn), stored as (b, -a).
+
+    Rows are r = k mod 4, columns the arcs n of ARC_NS. Dividing b and -a by k
+    gives the complex quotient (a + bi) / (ik) bit for bit; -a is taken as
+    0.0 - a, so a zero a carries the sign that complex division gives.
+    """
+    r = np.arange(4)[:, None]
+    ns = np.array(ARC_NS)
+    diff = _I_POWERS[r * (ns + 1) % 4] - _I_POWERS[r * ns % 4]
+    table = np.stack((diff.imag, 0.0 - diff.real), axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+_ARC_NUMERATORS = _arc_numerators()
+
 # Largest |frequency| a poly may carry. With |l_i| < 2**24 and at most 2**15
 # coordinates, a squared norm stays below 2**63, so the int64 arithmetic of the
-# multipliers (squared norms, k*(n+1) mod 4) cannot overflow.
+# multipliers (squared norms) cannot overflow.
 MAX_FREQUENCY = 2**24 - 1
 MAX_STACK = 2**15
+
+# Largest square-wave cutoff. A wave carries one row per odd harmonic and
+# sign, and a d = 4 lemma check peaks at about 0.4 KB per row: this cap keeps
+# one check near 0.5 GB, where MAX_FREQUENCY would allow about 6.5 GB.
+MAX_WAVE_CUTOFF = 2**20
 
 
 def arc_integrals(k):
     """Integrals of e^{ik theta} over each arc of ARC_NS (columns), for an integer array k."""
-    k = np.asarray(k, dtype=np.int64)[:, None]
-    ns = np.array(ARC_NS)
-    diff = _I_POWERS[k * (ns + 1) % 4] - _I_POWERS[k * ns % 4]
-    return np.where(k == 0, math.pi / 2.0, diff / (1j * np.where(k == 0, 1, k)))
+    k = np.asarray(k, dtype=np.int64)
+    parts = np.take(_ARC_NUMERATORS, k & 3, axis=0)
+    parts /= np.where(k == 0, 1.0, k)[:, None, None]
+    out = parts.view(np.complex128)[..., 0]
+    out[k == 0] = math.pi / 2.0
+    return out
 
 
 def arc_averages(k):
@@ -83,28 +108,52 @@ def _dict_arrays(terms, dim, value_dim):
     return freqs.reshape(len(terms), dim), coeffs.reshape(len(terms), value_dim)
 
 
-def _sorted_runs(freqs):
-    """Stable lexicographic order of the rows, and where each run of equal rows starts."""
-    order = np.lexsort(freqs.T[::-1])
-    ranked = freqs[order]
-    start = np.ones(len(freqs), dtype=bool)
-    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return order, start
+def _row_steps(freqs):
+    """Sign (-1, 0 or 1) of each lexicographic step from one row to the next."""
+    diff = freqs[1:] - freqs[:-1]
+    np.sign(diff, out=diff)
+    return diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+
+
+def _run_starts(steps):
+    start = np.ones(len(steps) + 1, dtype=bool)
+    start[1:] = steps != 0
+    return start
 
 
 def _canonical(freqs, coeffs):
-    """Rows in lexicographic frequency order, duplicates summed, zero rows dropped."""
-    order, start = _sorted_runs(freqs)
-    merged = np.zeros((int(start.sum()), coeffs.shape[1]), dtype=np.complex128)
-    np.add.at(merged, np.cumsum(start) - 1, coeffs[order])
+    """Rows in lexicographic frequency order, duplicates summed, zero rows dropped.
+
+    Rows that already ascend skip the sort, and rows that strictly ascend
+    skip the merge; the result has the same bits either way.
+    """
+    steps = _row_steps(freqs)
+    if (steps < 0).any():
+        order = np.lexsort(freqs.T[::-1])
+        freqs, coeffs = freqs[order], coeffs[order]
+        steps = _row_steps(freqs)
+    if (steps > 0).all():
+        merged = coeffs + 0.0  # as the merge adds a lone row to zero: -0.0 becomes 0.0
+    else:
+        start = _run_starts(steps)
+        merged = np.zeros((int(start.sum()), coeffs.shape[1]), dtype=np.complex128)
+        np.add.at(merged, np.cumsum(start) - 1, coeffs)
+        freqs = freqs[start]
     keep = merged.any(axis=1)
-    return freqs[order[start]][keep], merged[keep]
+    return freqs[keep], merged[keep]
 
 
 def _lookup(keys, rows):
     """Index of each row of `rows` in the canonical matrix `keys`, or -1."""
+    if np.array_equal(keys, rows):
+        return np.arange(len(rows))
+    steps = _row_steps(rows)
+    if (steps == 0).any() and not (steps < 0).any():
+        start = _run_starts(steps)  # one lookup per run of equal rows
+        return _lookup(keys, rows[start])[np.cumsum(start) - 1]
     both = np.concatenate((keys, rows))
-    order, start = _sorted_runs(both)  # stable: a key sorts before the rows equal to it
+    order = np.lexsort(both.T[::-1])  # stable: a key sorts before the rows equal to it
+    start = _run_starts(_row_steps(both[order]))
     head = order[start][np.cumsum(start) - 1]
     found = np.empty(len(both), dtype=np.intp)
     found[order] = np.where(head < len(keys), head, -1)
@@ -190,11 +239,16 @@ def square_wave(kind, harmonic_cutoff):
         raise InvalidInputError(f"kind must be 'sqsin' or 'sqcos', got {kind!r}")
     if not 1 <= harmonic_cutoff <= MAX_FREQUENCY:
         raise InvalidInputError(f"harmonic cutoff must lie in [1, {MAX_FREQUENCY}]")
+    if harmonic_cutoff > MAX_WAVE_CUTOFF:
+        raise ResourceLimitError(
+            f"harmonic cutoff {harmonic_cutoff} exceeds the wave cap MAX_WAVE_CUTOFF = "
+            f"{MAX_WAVE_CUTOFF}")
     k = np.arange(1, harmonic_cutoff + 1, 2)
     sine = kind == "sqsin"
     c = -2.0j / (math.pi * k) if sine else 2.0 * (-1.0) ** ((k - 1) // 2) / (math.pi * k)
-    coeffs = np.concatenate((-c if sine else c, c))[:, None]
-    return TrigPoly(1, 1, (np.concatenate((-k, k))[:, None], coeffs))
+    # rows in ascending order, -cutoff ... -1 then 1 ... cutoff, so no sort is needed
+    coeffs = np.concatenate(((-c if sine else c)[::-1], c))[:, None]
+    return TrigPoly(1, 1, (np.concatenate((-k[::-1], k))[:, None], coeffs))
 
 
 def square_wave_exact(kind, theta):
@@ -279,6 +333,9 @@ def bundle_inner(a: ArcBundle, b: ArcBundle):
 
 def bundle_poly_inner(a: ArcBundle, q: TrigPoly):
     """Normalized integral of a * conj(q) with q an ordinary poly."""
+    member = a.arcs[ARC_NS[0]]
+    if (member.d, member.clusters, member.value_dim) != (q.d, q.clusters, q.value_dim):
+        raise InvalidInputError("cluster structure mismatch in bundle pairing")
     zeroed = q.freqs * (np.arange(q.total_dim) != a.var - 1)
     weights = np.conj(arc_integrals(q.freqs[:, a.var - 1])) / TWO_PI
     total = 0.0 + 0.0j

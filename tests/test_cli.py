@@ -144,6 +144,17 @@ class TestExitCodes:
         rc = main(["shift", "matrix", "--op", "s0", "--depth", "13"])
         assert rc == EXIT_INTERNAL
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hvs", "--d", "2", "--j", "1", "--cutoff", "1048577"],
+        ["torus", "squarewave", "--kind", "sqcos", "--cutoff", "1048577"],
+    ])
+    def test_wave_cutoff_beyond_cap_is_internal_error(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL
+        assert captured.out == ""
+        assert "MAX_WAVE_CUTOFF = 1048576" in captured.err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(RunConfig("no such")) == EXIT_USAGE
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from haartorus import (
     ARC_NS,
     InvalidInputError,
+    ResourceLimitError,
     TrigPoly,
     arc_average,
     arc_exp_integral,
@@ -25,7 +26,7 @@ from haartorus import (
     square_wave_arc_values,
     square_wave_exact,
 )
-from haartorus.torus import MAX_FREQUENCY
+from haartorus.torus import MAX_FREQUENCY, MAX_WAVE_CUTOFF
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
@@ -361,6 +362,16 @@ class TestQuarterArcProjection:
         with pytest.raises(InvalidInputError):
             bundle_inner(quarter_arc_project(1, p), quarter_arc_project(2, p))
 
+    @pytest.mark.parametrize("q", [
+        TrigPoly(1, 2, {(1, 2): 1.0, (0, 1): 3.0, (3, 1): 1.0}),  # same width, two clusters
+        TrigPoly(2, 1, {(1, 2): [1.0, 2.0], (0, 0): [3.0, 1.0]}, value_dim=2),
+        TrigPoly(3, 1, {(1, 2, 0): 1.0, (0, 0, 1): 3.0}),  # width 3
+    ], ids=["d1-clusters2", "value-dim2", "width3"])
+    def test_bundle_poly_inner_rejects_structure_mismatch(self, q):
+        a = quarter_arc_project(1, TrigPoly(2, 1, {(1, 2): 1.0, (-1, 0): 2.0j, (3, 1): 0.5}))
+        with pytest.raises(InvalidInputError, match="cluster structure mismatch"):
+            bundle_poly_inner(a, q)
+
 
 class TestHypothesisProperties:
     @given(k=st.integers(min_value=-30, max_value=30),
@@ -413,3 +424,9 @@ class TestHypothesisProperties:
             square_wave("sqsin", MAX_FREQUENCY + 1)
         with pytest.raises(InvalidInputError):
             square_wave("sqcos", 10**20)
+
+    @pytest.mark.parametrize("cutoff", [MAX_WAVE_CUTOFF + 1, MAX_FREQUENCY])
+    def test_wave_cutoff_beyond_cap_is_resource_limit(self, cutoff):
+        for kind in ("sqsin", "sqcos"):
+            with pytest.raises(ResourceLimitError, match="MAX_WAVE_CUTOFF"):
+                square_wave(kind, cutoff)

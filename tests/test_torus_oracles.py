@@ -4,22 +4,30 @@ The references below walk `TrigPoly.terms` one frequency at a time, the way
 the torus layer computed before it moved to frequency and coefficient
 matrices. Coefficientwise multipliers must agree exactly; results that sum
 several terms agree within REL_TOL times the sum of the absolute values that
-enter the sum.
+enter the sum. The canonical form, the row lookup and the arc integrals are
+also checked bit for bit against the forms that sort every input and divide
+by ik in complex arithmetic.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haartorus.torus import (
+    _I_POWERS,
     ARC_NS,
+    MAX_FREQUENCY,
     TWO_PI,
     ArcBundle,
     TrigPoly,
+    _canonical,
+    _lookup,
     arc_average,
     arc_exp_integral,
+    arc_integrals,
     bundle_inner,
     bundle_poly_inner,
     directional_hilbert,
@@ -108,16 +116,59 @@ def ref_bundle_poly_inner(a, q):
     return total
 
 
+def ref_sorted_runs(freqs):
+    order = np.lexsort(freqs.T[::-1])
+    ranked = freqs[order]
+    start = np.ones(len(freqs), dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, start
+
+
+def ref_canonical(freqs, coeffs):
+    """The canonical form that sorts every input."""
+    order, start = ref_sorted_runs(freqs)
+    merged = np.zeros((int(start.sum()), coeffs.shape[1]), dtype=np.complex128)
+    np.add.at(merged, np.cumsum(start) - 1, coeffs[order])
+    keep = merged.any(axis=1)
+    return freqs[order[start]][keep], merged[keep]
+
+
+def ref_lookup(keys, rows):
+    """The lookup that sorts keys and rows together."""
+    both = np.concatenate((keys, rows))
+    order, start = ref_sorted_runs(both)
+    head = order[start][np.cumsum(start) - 1]
+    found = np.empty(len(both), dtype=np.intp)
+    found[order] = np.where(head < len(keys), head, -1)
+    return found[len(keys):]
+
+
+def ref_arc_integrals(k):
+    """Arc integrals through one complex division by ik."""
+    k = np.asarray(k, dtype=np.int64)[:, None]
+    ns = np.array(ARC_NS)
+    diff = _I_POWERS[k * (ns + 1) % 4] - _I_POWERS[k * ns % 4]
+    return np.where(k == 0, math.pi / 2.0, diff / (1j * np.where(k == 0, 1, k)))
+
+
 # ---------------------------------------------------------------------------
 # random small polys with repeated, cancelling and zero-frequency rows
 
 SHAPES = [(d, c) for d in (1, 2, 3) for c in (1, 2, 3) if d * c <= 3]
-COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+SIGNED_ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                complex(1.5, -0.0), complex(-0.0, -2.5)]
+COEFF = st.one_of(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from(SIGNED_ZEROS))
 
 
 @st.composite
 def poly_rows(draw, single_cluster=False, shape=None):
-    """(d, clusters, value_dim, freqs, coeffs); freqs may repeat rows."""
+    """(d, clusters, value_dim, freqs, coeffs); freqs may repeat rows.
+
+    Half the draws come in ascending row order, repeated rows side by side in
+    the order drawn, so the canonical form meets input it need not sort.
+    """
     if shape is None:
         d, clusters = draw(st.sampled_from([s for s in SHAPES if s[1] == 1 or not single_cluster]))
         shape = (d, clusters, draw(st.sampled_from((1, 2))))
@@ -134,7 +185,10 @@ def poly_rows(draw, single_cluster=False, shape=None):
             rows.append((f, [-x for x in c]))
     if draw(st.booleans()):
         rows.append(([0] * dim, draw(coeff)))
-    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = sorted(rows, key=lambda row: row[0])
+    else:
+        rows = draw(st.permutations(rows))
     freqs = np.array([f for f, _ in rows], dtype=np.int64).reshape(len(rows), dim)
     coeffs = np.array([c for _, c in rows], dtype=np.complex128).reshape(len(rows), value_dim)
     return d, clusters, value_dim, freqs, coeffs
@@ -222,3 +276,63 @@ class TestAgainstDictReferences:
         tol = REL_TOL * mass(p) * mass(q)
         assert abs(bundle_inner(a, b) - ref_bundle_inner(a, b)) <= tol
         assert abs(bundle_poly_inner(a, q) - ref_bundle_poly_inner(a, q)) <= tol
+
+
+def assert_same_bits(got, want):
+    assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+    assert (got[0] == want[0]).all()
+    assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+    assert (got[1].view(np.uint64) == want[1].view(np.uint64)).all()  # signed zeros count
+
+
+def row_orders(freqs):
+    """Rows as drawn, ascending (repeats side by side, as drawn) and descending."""
+    up = np.lexsort(freqs.T[::-1])
+    return [np.arange(len(freqs)), up, up[::-1]]
+
+
+class TestOrderAwareCanonicalForm:
+    @given(poly_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_equals_the_lexsort_form(self, rows):
+        for order in row_orders(rows[3]):
+            freqs, coeffs = rows[3][order], rows[4][order]
+            assert_same_bits(_canonical(freqs, coeffs), ref_canonical(freqs, coeffs))
+
+    @pytest.mark.parametrize("dim, value_dim", [(1, 1), (3, 2)])
+    def test_canonical_equals_the_lexsort_form_on_small_and_flat_input(self, dim, value_dim):
+        zeros = complex(-0.0, -0.0)
+        cases = [
+            (np.zeros((0, dim), np.int64), np.zeros((0, value_dim), complex)),
+            (np.full((1, dim), -2), np.full((1, value_dim), complex(1.0, -0.0))),
+            (np.full((1, dim), 5), np.full((1, value_dim), zeros)),
+            (np.zeros((6, dim), np.int64), np.arange(6 * value_dim).reshape(6, value_dim) - 7.5j),
+            (np.zeros((3, dim), np.int64), np.array([[1.0], [-1.0], [zeros]]).repeat(value_dim, 1)),
+            (np.arange(4 * dim).reshape(4, dim), np.full((4, value_dim), complex(-0.0, 2.0))),
+        ]
+        for freqs, coeffs in cases:
+            coeffs = coeffs.astype(np.complex128)
+            for order in row_orders(freqs):
+                f, c = freqs[order], coeffs[order]
+                assert_same_bits(_canonical(f, c), ref_canonical(f, c))
+
+    @given(poly_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_equals_the_lexsort_lookup(self, key_rows, data):
+        keys = make(key_rows).freqs
+        rows = data.draw(poly_rows(shape=key_rows[:3]))[3]
+        col = data.draw(st.integers(0, keys.shape[1] - 1))
+        zeroed = keys * (np.arange(keys.shape[1]) != col)  # as bundle_poly_inner probes
+        probes = [keys, keys[:0], keys[:1]]
+        for raw in (rows, zeroed):
+            probes += [raw[order] for order in row_orders(raw)]
+        for probe in probes:
+            assert np.array_equal(_lookup(keys, probe), ref_lookup(keys, probe))
+
+
+def test_arc_integrals_equal_complex_division_bit_for_bit():
+    steps = np.arange(1, 4100)
+    k = np.concatenate(([0, MAX_FREQUENCY, -MAX_FREQUENCY], steps, -steps))
+    got, want = arc_integrals(k), ref_arc_integrals(k)
+    assert got.shape == want.shape == (len(k), len(ARC_NS))
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
