@@ -142,10 +142,7 @@ def _run_torus_squarewave(config):
 def _run_code_decompose(config):
     coeffs = serialize.read_haar_coeffs(config.input_path)
     d = config.params["d"]
-    K = config.params.get("K")
-    if K is None:
-        K = max(coeffs.depth_limit // d, 0)
-    blocks = coding.martingale_decompose(coeffs, d, K)
+    blocks = coding.martingale_decompose(coeffs, d, config.params.get("K"))
     _emit(config, serialize.blocks_text(blocks, d))
     return EXIT_OK
 

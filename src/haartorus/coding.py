@@ -9,13 +9,14 @@ sample of cos or sin counts as +1 so the walk is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .haar import DyadicNode, HaarCoeffs
+from .haar import DyadicNode, HaarCoeffs, basis_position
 
 
 def _toss_value(prev_outcome, theta, first):
@@ -83,22 +84,36 @@ def random_paths(d, clusters, count, seed):
 # martingale decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MartingaleBlock:
-    """One predictable-times-wave summand of the pathwise expansion.
+    """One predictable-times-wave summand of the pathwise expansion, as Haar basis rows.
 
-    kind is "mean" (the constant term), "eps0" (the depth-0 Haar mode times
-    the first toss), or "pm" (a generic increment). entries maps a prefix of
-    outcomes (length k*d + m, ending in `sign` for pm blocks) to the weight
-    carried along that prefix; the attached wave factor is sign(cos) for +1
-    and sign(sin) for -1, evaluated at cluster k coordinate m.
+    kind is "mean" (the constant term, position 0), "eps0" (the depth-0 Haar
+    mode times the first toss, position 1), or "pm" (a generic increment at
+    the nodes 2^t + i of depth t = k*d + m whose last outcome is `sign`: even
+    positions for +1, odd for -1). `positions` ascend; `values` (rows,
+    value_dim) are the weights carried along each node's prefix. The attached
+    wave factor is sign(cos) for +1 and sign(sin) for -1, at cluster k coordinate m.
     """
 
     kind: str
     k: int
     m: int
     sign: int
-    entries: dict
+    positions: np.ndarray
+    values: np.ndarray
+
+    @property
+    def prefixes(self):
+        """(rows, t) int matrix of the outcomes (+1 left, -1 right) leading to each row's node."""
+        t = int(self.positions.max(initial=1)).bit_length() - 1
+        bits = (self.positions[:, None] >> np.arange(t - 1, -1, -1)) & 1
+        return 1 - 2 * bits
+
+    @functools.cached_property
+    def entries(self):
+        """{prefix: weight}, built from the rows the first time it is read."""
+        return dict(zip(map(tuple, self.prefixes.tolist()), self.values))
 
 
 def block_depth(block: MartingaleBlock, d):
@@ -109,52 +124,33 @@ def block_depth(block: MartingaleBlock, d):
     return block.k * d + block.m
 
 
-_OUTCOME_OF_BIT = {"0": 1, "1": -1}
+def martingale_decompose(coeffs: HaarCoeffs, d, K=None):
+    """Group Haar rows into predictable blocks: mean, eps0 if the root mode is nonzero,
+    then per depth the -1 block before the +1 block, each holding at least one row.
 
-
-def prefix_of_index(depth, index):
-    """Outcome prefix (+1 left / -1 right) leading to node (depth, index)."""
-    # the low `depth` bits of index, most significant first, behind a leading 1
-    bits = bin((index & ((1 << depth) - 1)) | (1 << depth))[3:]
-    return tuple(map(_OUTCOME_OF_BIT.__getitem__, bits))
-
-
-def index_of_prefix(prefix):
-    index = 0
-    for outcome in prefix:
-        index = 2 * index + (0 if outcome > 0 else 1)
-    return index
-
-
-def martingale_decompose(coeffs: HaarCoeffs, d, K):
-    """Group Haar coefficients into predictable blocks, one wave per toss.
-
-    A node of depth t consumes toss t, which lives in cluster t // d; every
-    populated depth must therefore be strictly below (K+1)*d.
+    A node of depth t consumes toss t, which lives in cluster t // d; every populated
+    depth must therefore be below (K+1)*d. K defaults to depth_limit // d.
     """
-    if d < 1 or K < 0:
+    if d < 1 or (K is not None and K < 0):
         raise InvalidInputError("need d >= 1 and K >= 0")
-    cap = (K + 1) * d
-    deep = coeffs.depths.max(initial=0)
-    if deep >= cap:
-        raise InvalidInputError(
-            f"populated depth {deep} needs cluster {deep // d} > K = {K}"
-        )
-    blocks = {}
-    blocks[("mean", -1, 0, 1)] = {(): coeffs.mean_part.copy()}
+    K = coeffs.depth_limit // d if K is None else K
+    depths = coeffs.depths
+    deep = depths.max(initial=0)
+    if deep >= (K + 1) * d:
+        raise InvalidInputError(f"populated depth {deep} needs cluster {deep // d} > K = {K}")
+    blocks = [MartingaleBlock("mean", -1, 0, 1, np.array([0]), np.array([coeffs.mean_part]))]
     if np.any(coeffs.root_part):
-        blocks[("eps0", 0, 0, 1)] = {(): coeffs.root_part.copy()}
+        blocks.append(MartingaleBlock("eps0", 0, 0, 1, np.array([1]), np.array([coeffs.root_part])))
     scales = np.array([2.0 ** (t / 2.0) for t in range(coeffs.depth_limit + 1)])
-    for (t, i), c in zip(coeffs.nodes, coeffs.values * scales[coeffs.depths][:, None]):
-        prefix = prefix_of_index(t, i)
-        key = ("pm", t // d, t % d, prefix[-1])
-        blocks.setdefault(key, {})[prefix] = c
-    return [
-        MartingaleBlock(kind, k, m, sign, entries)
-        for (kind, k, m, sign), entries in sorted(
-            blocks.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][3], kv[0][0])
-        )
-    ]
+    weights = coeffs.values * scales[depths][:, None]
+    starts = np.searchsorted(depths, np.arange(coeffs.depth_limit + 2))
+    for t in range(1, coeffs.depth_limit + 1):
+        pos, w = coeffs.positions[starts[t]:starts[t + 1]], weights[starts[t]:starts[t + 1]]
+        odd = (pos & 1).astype(bool)
+        for sign, rows in ((-1, odd), (1, ~odd)):
+            if rows.any():
+                blocks.append(MartingaleBlock("pm", t // d, t % d, sign, pos[rows], w[rows]))
+    return blocks
 
 
 def evaluate_blocks_at_path(blocks, path: SignTossPath):
@@ -162,61 +158,41 @@ def evaluate_blocks_at_path(blocks, path: SignTossPath):
     depth_needed = 1 + max(
         (block_depth(b, path.d) for b in blocks if b.kind != "mean"), default=-1
     )
-    outcomes = path.outcomes(max(depth_needed, 0))
+    outcomes = path.outcomes(depth_needed)
+    leaf = basis_position(depth_needed, path.node(depth_needed).index)
     total = None
     for b in blocks:
-        for prefix, w in b.entries.items():
-            if b.kind == "mean":
-                contrib = w
-            else:
-                t = block_depth(b, path.d)
-                if tuple(outcomes[:t]) != prefix:
+        t = block_depth(b, path.d)
+        for p, w in zip(b.positions.tolist(), b.values):
+            if b.kind != "mean":
+                if p != leaf >> (depth_needed - t):  # the path's node at depth t
                     continue
-                contrib = w * outcomes[t]
-            total = contrib.copy() if total is None else total + contrib
-    if total is None:
-        total = np.zeros(1)
-    return total
+                w = w * outcomes[t]
+            total = w.copy() if total is None else total + w
+    return np.zeros(1) if total is None else total
 
 
 def coded_shift_blocks(j, d, blocks):
     """Blockwise action of the sliced shift in the coding picture.
 
-    Only increments at tosses t = j-1 (mod d) survive; each prefix has its
-    last conditioning outcome flipped, the weight picks up that outcome as a
-    sign, and the attached wave swaps kind. Mean and first-toss blocks are
-    annihilated. This reproduces the dyadic sibling rule exactly.
+    Only increments at tosses t = j-1 (mod d) survive; each row moves to its
+    sibling, `positions ^ 1` (last outcome flipped), the weight picks up that
+    outcome as a sign, and the attached wave swaps kind. Mean and first-toss
+    blocks are annihilated. This is the dyadic sibling rule exactly.
     """
     if not 1 <= j <= d:
         raise InvalidInputError(f"j must be in [1, {d}], got {j}")
-    out = []
-    for b in blocks:
-        if b.kind != "pm" or b.m != j - 1:
-            continue
-        entries = {}
-        for prefix, w in b.entries.items():
-            sigma = prefix[-1]
-            flipped = prefix[:-1] + (-sigma,)
-            entries[flipped] = w * float(sigma)
-        out.append(MartingaleBlock("pm", b.k, b.m, -b.sign, entries))
-    return out
+    return [MartingaleBlock("pm", b.k, b.m, -b.sign, b.positions ^ 1, b.values * float(b.sign))
+            for b in blocks if b.kind == "pm" and b.m == j - 1]
 
 
 def blocks_to_haar(blocks, d, depth_limit, value_dim=1):
     """Inverse of martingale_decompose on well-formed block lists."""
-    mean = np.zeros(value_dim)
-    root = np.zeros(value_dim)
-    entries = {}
-    for b in blocks:
-        for prefix, w in b.entries.items():
-            if b.kind == "mean":
-                mean = mean + w
-            elif b.kind == "eps0":
-                root = root + w
-            else:
-                t = block_depth(b, d)
-                entries[(t, index_of_prefix(prefix))] = w * 2.0 ** (-t / 2.0)
-    return HaarCoeffs(depth_limit, value_dim, mean, root, entries)
+    pos = np.concatenate([np.zeros(0, np.int64), *(b.positions for b in blocks)])
+    vals = np.concatenate([np.zeros((0, value_dim)), *(
+        b.values * 2.0 ** (-max(block_depth(b, d), 0) / 2.0) for b in blocks)])
+    mean, root = (np.zeros(value_dim) + vals[pos == p].sum(axis=0) for p in (0, 1))
+    return HaarCoeffs(depth_limit, value_dim, mean, root, (pos[pos > 1], vals[pos > 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +296,19 @@ def sliced_multiplier_apply(j, e: EkSpaceElement):
 
 
 def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
-    """Seeded random element; frequency magnitudes stay <= max_mag."""
+    """Seeded random element of n_terms distinct frequencies, magnitudes <= max_mag.
+
+    More terms than the (2 max_mag + 1)^((k_max+1) d) - 1 nonzero frequencies, and
+    d < 1, k_max < 0, max_mag < 1 or n_terms < 0, are rejected before the first draw.
+    """
+    if d < 1 or k_max < 0 or max_mag < 1 or n_terms < 0:
+        raise InvalidInputError(f"need d >= 1, k_max >= 0, max_mag >= 1, n_terms >= 0; got d = "
+                                f"{d}, k_max = {k_max}, max_mag = {max_mag}, n_terms = {n_terms}")
+    # past bit_length + 1 coordinates there are more than n_terms frequencies
+    count = (2 * max_mag + 1) ** min((k_max + 1) * d, int(n_terms).bit_length() + 1) - 1
+    if n_terms > count:
+        raise InvalidInputError(f"{n_terms} distinct frequencies asked for, but only {count} are "
+                                f"nonzero with magnitudes <= {max_mag}")
     rng = np.random.default_rng(seed)
     clusters = k_max + 1
     seen = set()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import EkSpaceElement, MartingaleBlock, make_ek_element
+from .coding import EkSpaceElement, make_ek_element
 from .errors import GoldenMismatchError, InvalidInputError, ParseError
 from .haar import HaarCoeffs
 from .torus import TrigPoly
@@ -332,16 +332,16 @@ def read_ek_element(path):
     return ek_element_from_dict(load_json(path), path=path)
 
 
+def _block_rows(b):
+    """A block's prefixes and real weights in sorted prefix order: descending position."""
+    values = _real_array(b.values[::-1], field="values").astype(float)
+    return b.prefixes[::-1].tolist(), values.tolist()
+
+
 def blocks_to_dict(blocks, d):
     rows = []
     for b in blocks:
-        entries = [
-            {
-                "prefix": [int(x) for x in prefix],
-                "values": _real_list(w, field="values"),
-            }
-            for prefix, w in sorted(b.entries.items())
-        ]
+        entries = [{"prefix": p, "values": v} for p, v in zip(*_block_rows(b))]
         rows.append(
             {"kind": b.kind, "k": b.k, "m": b.m, "sign": b.sign, "entries": entries}
         )
@@ -351,17 +351,6 @@ def blocks_to_dict(blocks, d):
         "d": d,
         "blocks": rows,
     }
-
-
-def _real_rows(rows, field):
-    """[_real_list(row) for row in rows], in one array pass when the rows stack."""
-    try:
-        arr = np.array(rows)
-    except ValueError:  # ragged
-        arr = None
-    if arr is None or arr.ndim != 2:
-        return [_real_list(row, field=field) for row in rows]
-    return _real_array(arr, field=field).astype(float).tolist()
 
 
 def blocks_text(blocks, d):
@@ -378,9 +367,7 @@ def blocks_text(blocks, d):
 
     rows = []
     for b in blocks:
-        prefixes = sorted(b.entries)
-        values = _real_rows([b.entries[p] for p in prefixes], "values")
-        entries = ",\n".join([layout(len(p), len(v)) % (*p, *v) for p, v in zip(prefixes, values)])
+        entries = ",\n".join([layout(len(p), len(v)) % (*p, *v) for p, v in zip(*_block_rows(b))])
         rows.append(
             '    {\n      "entries": ' + (f"[\n{entries}\n      ]" if entries else "[]")
             + f',\n      "k": {b.k},\n      "kind": {json.dumps(b.kind)},\n      "m": {b.m},'
@@ -389,29 +376,6 @@ def blocks_text(blocks, d):
     body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return (f'{{\n  "blocks": {body},\n  "d": {d},\n  "kind": "martingale_blocks",'
             f'\n  "schema": {SCHEMA_VERSION}\n}}\n')
-
-
-def blocks_from_dict(obj, path="<memory>"):
-    _check_schema(obj, path)
-    d = int(_require(obj, "d", path))
-    blocks = []
-    for row in _require(obj, "blocks", path):
-        entries = {
-            tuple(int(x) for x in _require(er, "prefix", path)): np.array(
-                _require(er, "values", path), dtype=float
-            )
-            for er in _require(row, "entries", path)
-        }
-        blocks.append(
-            MartingaleBlock(
-                _require(row, "kind", path),
-                int(_require(row, "k", path)),
-                int(_require(row, "m", path)),
-                int(_require(row, "sign", path)),
-                entries,
-            )
-        )
-    return d, blocks
 
 
 def arc_bundle_to_dict(bundle):

@@ -155,6 +155,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert "MAX_WAVE_CUTOFF = 1048576" in captured.err
 
+    def test_zero_directions_are_usage_errors(self, tmp_path, capsys):
+        src = tmp_path / "coeffs.json"
+        write_haar_coeffs(src, haar_analyze(np.arange(16.0)))
+        for argv in (["code", "decompose", "--input", str(src), "--d", "0"],
+                     ["experiment", "duality", "--d", "0"]):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and "need d >= 1" in captured.err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--d", "1", "--kmax", "0", "--max-mag", "1", "--terms", "3"], "only 2 are nonzero"),
+        (["--d", "1", "--kmax", "0", "--max-mag", "1", "--terms", "2", "--A-list", "4"], None),
+        (["--max-mag", "0"], "max_mag = 0"),
+        (["--kmax", "-1"], "k_max = -1"),
+        (["--d", "0"], "d = 0"),
+        (["--terms", "-1"], "n_terms = -1"),
+    ], ids=["more-terms-than-frequencies", "every-frequency", "zero-magnitude",
+            "negative-kmax", "zero-d", "negative-terms"])
+    def test_random_spectrum_bounds(self, capsys, flags, named):
+        rc = main(["experiment", "modulation", *flags])
+        captured = capsys.readouterr()
+        if named is None:
+            assert rc == EXIT_OK
+            assert json.loads(captured.out)["A_values"] == [4]
+        else:
+            assert rc == EXIT_USAGE and captured.out == ""
+            assert named in captured.err
+
+    @pytest.mark.parametrize("depth, code, named", [
+        ("0", EXIT_USAGE, "at least 1, got 0"),
+        ("-3", EXIT_USAGE, "at least 1, got -3"),
+        ("17", EXIT_INTERNAL, "MAX_DUALITY_DEPTH = 16"),
+    ])
+    def test_duality_depth_bounds(self, capsys, depth, code, named):
+        assert main(["experiment", "duality", "--depth", depth]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(RunConfig("no such")) == EXIT_USAGE
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from haartorus import (
     DyadicNode,
     InvalidInputError,
+    MartingaleBlock,
     blocks_to_haar,
     check_ek_membership,
     coded_shift_blocks,
@@ -19,14 +20,12 @@ from haartorus import (
     evaluate_blocks_at_path,
     haar_analyze,
     haar_synthesize,
-    index_of_prefix,
     make_ek_element,
     martingale_decompose,
     modulate,
     modulated_riesz_multiplier,
     modulation_difference,
     path_outcomes,
-    prefix_of_index,
     random_ek_element,
     random_paths,
     sliced_multiplier_apply,
@@ -90,26 +89,50 @@ class TestSignToss:
         b = random_paths(2, 2, 5, seed=7)
         assert [p.node(4) for p in a] == [p.node(4) for p in b]
 
-    @given(depth=st.integers(min_value=1, max_value=16), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_prefix_index_bijection(self, depth, data):
-        index = data.draw(st.integers(min_value=0, max_value=(1 << depth) - 1))
-        prefix = prefix_of_index(depth, index)
-        assert len(prefix) == depth
-        assert set(prefix) <= {-1, 1}
-        assert index_of_prefix(prefix) == index
-
-    @given(depth=st.integers(min_value=0, max_value=70), index=st.integers(-(1 << 80), 1 << 80))
-    @settings(max_examples=60, deadline=None)
-    def test_prefix_reads_the_low_depth_bits(self, depth, index):
-        want = tuple(1 if ((index >> (depth - 1 - s)) & 1) == 0 else -1 for s in range(depth))
-        assert prefix_of_index(depth, index) == want
-
 
 class TestMartingaleBlocks:
     def small_coeffs(self):
         samples = np.array([4.0, 2.0, -1.0, 3.0, 0.5, 0.5, 2.0, -2.0])
         return haar_analyze(samples)
+
+    @given(depth=st.integers(0, 62), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefixes_read_the_index_bits(self, depth, data):
+        indices = sorted(data.draw(st.sets(st.integers(0, (1 << depth) - 1), min_size=1,
+                                           max_size=8)))
+        positions = np.array([(1 << depth) + i for i in indices], dtype=np.int64)
+        block = MartingaleBlock("pm", 0, 0, 1, positions, np.zeros((len(indices), 1)))
+        want = [[1 if ((i >> (depth - 1 - s)) & 1) == 0 else -1 for s in range(depth)]
+                for i in indices]
+        assert block.prefixes.shape == (len(indices), depth)
+        assert block.prefixes.tolist() == want
+        assert list(block.entries) == [tuple(p) for p in want]
+        assert block.entries is block.entries
+
+    def test_prefixes_are_the_outcomes_of_paths_to_the_node(self):
+        for path in random_paths(3, 3, 40, seed=5):
+            for depth in (1, 4, 8):
+                node = path.node(depth)
+                block = MartingaleBlock("pm", 0, 0, 1, np.array([(1 << depth) + node.index]),
+                                        np.zeros((1, 1)))
+                assert block.prefixes[0].tolist() == path.outcomes(depth)
+        root_modes = (MartingaleBlock("mean", -1, 0, 1, np.array([0]), np.ones((1, 2))),
+                      MartingaleBlock("eps0", 0, 0, 1, np.array([1]), np.ones((1, 2))))
+        for b in root_modes:
+            assert b.prefixes.shape == (1, 0) and list(b.entries) == [()]
+
+    def test_default_K_fits_the_depth_limit(self):
+        coeffs = haar_analyze(np.arange(64.0))
+        for d in (1, 2, 3, 7):
+            got = martingale_decompose(coeffs, d)
+            want = martingale_decompose(coeffs, d, K=coeffs.depth_limit // d)
+            assert [(b.kind, b.k, b.m, b.sign) for b in got] \
+                == [(b.kind, b.k, b.m, b.sign) for b in want]
+        for d in (0, -1):
+            with pytest.raises(InvalidInputError, match="need d >= 1"):
+                martingale_decompose(coeffs, d)
+        with pytest.raises(InvalidInputError, match="K >= 0"):
+            martingale_decompose(coeffs, 2, K=-1)
 
     def test_depth_cap_enforced(self):
         coeffs = haar_analyze(np.arange(32.0))
@@ -186,6 +209,26 @@ class TestEkSpace:
     def test_random_element_is_member(self):
         ok, violations = check_ek_membership(random_ek_element(seed=5))
         assert ok and violations == []
+
+    def test_random_element_can_hold_every_frequency(self):
+        # (2*1 + 1)^(2*1) - 1 = 8 nonzero frequencies on two clusters of one coordinate
+        e = random_ek_element(d=1, k_max=1, n_terms=8, seed=3, max_mag=1)
+        every = {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)} - {(0, 0)}
+        assert {t.freq for t in e.terms} == every
+        # the count is not formed when it plainly exceeds the terms asked for
+        assert random_ek_element(d=3, k_max=10**9, n_terms=0).terms == ()
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(d=1, k_max=1, n_terms=9, max_mag=1), "only 8 are nonzero"),
+        (dict(d=2, k_max=0, n_terms=25, max_mag=1), "only 8 are nonzero"),
+        (dict(d=0), "d = 0"),
+        (dict(k_max=-1), "k_max = -1"),
+        (dict(max_mag=0), "max_mag = 0"),
+        (dict(n_terms=-1), "n_terms = -1"),
+    ])
+    def test_random_element_rejects_bounds_before_drawing(self, kwargs, named):
+        with pytest.raises(InvalidInputError, match=named):
+            random_ek_element(**kwargs)
 
     def test_violation_support_beyond_cluster(self):
         e = make_ek_element(2, 2, [(0, 0, 1, (1, 0, 3, 0), 1.0)])

@@ -1,24 +1,29 @@
 """Row-array Haar code against the dict-loop references it replaced.
 
 The references keep the old per-node loops: analysis and synthesis level by
-level with one dict entry per node, and the shift as a per-entry sibling
-swap. The row code must give the same bits (signed zeros included), the same
-node sets and the same dtypes. The one-pass text writers must give the bytes
-of json.dumps on the dict forms, and the vectorized coefficient reader the
-same coefficients and the same ParseError field and message as the per-row
-reader.
+level with one dict entry per node, the shift as a per-entry sibling swap,
+and the martingale blocks as {outcome prefix: weight} dicts with their
+sorted-prefix file form. The row code must give the same bits (signed zeros
+included), the same node sets and the same dtypes. The one-pass text writers
+must give the bytes of json.dumps on the dict forms, and the vectorized
+coefficient reader the same coefficients and the same ParseError field and
+message as the per-row reader.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haartorus.coding import MartingaleBlock, martingale_decompose
+from haartorus.cli import EXIT_OK, main
+from haartorus.coding import MartingaleBlock, coded_shift_blocks, martingale_decompose
 from haartorus.errors import InvalidInputError, ParseError
 from haartorus.haar import HaarCoeffs, haar_analyze, haar_synthesize
 from haartorus.serialize import (
     _check_schema,
+    _real_list,
     _require,
     blocks_text,
     blocks_to_dict,
@@ -27,6 +32,7 @@ from haartorus.serialize import (
     haar_coeffs_text,
     haar_coeffs_to_dict,
     samples_csv_text,
+    write_haar_coeffs,
 )
 from haartorus.shifts import ShiftOperator, apply_s0, apply_sj
 
@@ -107,6 +113,43 @@ def ref_haar_from_dict(obj, path="<memory>"):
         else:
             entries[(t, i)] = vals
     return HaarCoeffs(depth_limit, value_dim, mean, root, entries)
+
+
+def ref_prefix(t, i):
+    """Outcomes (+1 left, -1 right) leading to node (t, i), first toss first."""
+    return tuple(1 if (i >> (t - 1 - s)) & 1 == 0 else -1 for s in range(t))
+
+
+def ref_decompose(coeffs, d, K):
+    """The dict-form blocks: [((kind, k, m, sign), {prefix: weight}), ...] in block order."""
+    assert (K + 1) * d > coeffs.depths.max(initial=0)
+    blocks = {("mean", -1, 0, 1): {(): coeffs.mean_part.copy()}}
+    if np.any(coeffs.root_part):
+        blocks[("eps0", 0, 0, 1)] = {(): coeffs.root_part.copy()}
+    scales = np.array([2.0 ** (t / 2.0) for t in range(coeffs.depth_limit + 1)])
+    for (t, i), c in zip(coeffs.nodes, coeffs.values * scales[coeffs.depths][:, None]):
+        prefix = ref_prefix(t, i)
+        blocks.setdefault(("pm", t // d, t % d, prefix[-1]), {})[prefix] = c
+    return sorted(blocks.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][3], kv[0][0]))
+
+
+def ref_coded_shift(j, d, blocks):
+    """Per-entry coded shift: flip the last outcome, sign the weight by it, swap the wave."""
+    out = []
+    for (kind, k, m, sign), entries in blocks:
+        if kind == "pm" and m == j - 1:
+            out.append((("pm", k, m, -sign),
+                        {p[:-1] + (-p[-1],): w * float(p[-1]) for p, w in entries.items()}))
+    return out
+
+
+def ref_blocks_to_dict(blocks, d):
+    """The block file's dict form, entries in sorted prefix order."""
+    rows = [{"kind": kind, "k": k, "m": m, "sign": sign,
+             "entries": [{"prefix": [int(x) for x in p], "values": _real_list(w, field="values")}
+                         for p, w in sorted(entries.items())]}
+            for (kind, k, m, sign), entries in blocks]
+    return {"schema": 1, "kind": "martingale_blocks", "d": d, "blocks": rows}
 
 
 def same_bits(a, b):
@@ -208,6 +251,23 @@ class TestAgainstDictLoops:
         assert same_bits(haar_synthesize(coeffs), want)
 
 
+class TestBlocksAgainstDictForm:
+    @settings(max_examples=80, deadline=None)
+    @given(coefficient_sets(), st.integers(1, 3), st.data())
+    def test_decompose_and_coded_shift(self, case, d, data):
+        coeffs = coeffs_of(case)
+        K = data.draw(st.integers(coeffs.depth_limit // d, coeffs.depth_limit // d + 2))
+        blocks = martingale_decompose(coeffs, d, K)
+        j = data.draw(st.integers(1, d))
+        for got, want in ((blocks, ref_decompose(coeffs, d, K)),
+                          (coded_shift_blocks(j, d, blocks),
+                           ref_coded_shift(j, d, ref_decompose(coeffs, d, K)))):
+            assert [(b.kind, b.k, b.m, b.sign) for b in got] == [key for key, _ in want]
+            for b, (_, entries) in zip(got, want):
+                assert list(b.entries) == list(entries)  # rows in the dict's insertion order
+                assert same_entries(b.entries, entries)
+
+
 class TestTextWriters:
     @settings(max_examples=80, deadline=None)
     @given(coefficient_sets(complex_ok=False))
@@ -239,26 +299,55 @@ class TestTextWriters:
     @given(coefficient_sets(complex_ok=False), st.integers(1, 3))
     def test_blocks_text(self, case, d):
         coeffs = coeffs_of(case)
-        blocks = martingale_decompose(coeffs, d, coeffs.depth_limit // d)
-        assert blocks_text(blocks, d) == dumps_json(blocks_to_dict(blocks, d))
+        blocks = martingale_decompose(coeffs, d)
+        want = dumps_json(ref_blocks_to_dict(ref_decompose(coeffs, d, coeffs.depth_limit // d), d))
+        assert blocks_text(blocks, d) == want
+        assert dumps_json(blocks_to_dict(blocks, d)) == want
 
     def test_blocks_text_edge_cases(self):
+        rows = (np.array([[1.5, -0.0]]), np.array([[2, 3], [0.25 + 0j, 1.0]]))
         cases = (
-            [],
-            [MartingaleBlock("pm", 0, 1, -1, {})],
-            [MartingaleBlock("mean", -1, 0, 1, {(): np.array([1.5, -0.0])}),
-             MartingaleBlock("pm", 1, 0, 1, {(1, -1, 1): np.array([2, 3]),
-                                             (-1, 1, 1): np.array([0.25 + 0j, 1.0])})],
-            [MartingaleBlock("pm", 0, 1, 1, {(1, 1): np.array([1.0]), (-1, 1): np.array([1.0, 2.0])})],
+            ([], []),
+            ([MartingaleBlock("pm", 0, 1, -1, np.zeros(0, np.int64), np.zeros((0, 1)))],
+             [(("pm", 0, 1, -1), {})]),
+            ([MartingaleBlock("mean", -1, 0, 1, np.array([0]), rows[0]),
+              MartingaleBlock("pm", 1, 0, 1, np.array([10, 12]), rows[1])],
+             [(("mean", -1, 0, 1), {(): rows[0][0]}),
+              (("pm", 1, 0, 1), {(1, -1, 1): rows[1][0], (-1, 1, 1): rows[1][1]})]),
         )
-        for blocks in cases:
-            assert blocks_text(blocks, 2) == dumps_json(blocks_to_dict(blocks, 2))
-        bad = [MartingaleBlock("pm", 0, 0, 1, {(1,): np.array([1j])})]
+        for blocks, ref in cases:
+            assert blocks_text(blocks, 2) == dumps_json(ref_blocks_to_dict(ref, 2))
+            assert blocks_to_dict(blocks, 2) == ref_blocks_to_dict(ref, 2)
+        bad = [MartingaleBlock("pm", 0, 0, 1, np.array([2]), np.array([[1j]]))]
         with pytest.raises(ParseError) as want:
-            blocks_to_dict(bad, 1)
-        with pytest.raises(ParseError) as got:
-            blocks_text(bad, 1)
-        assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
+            ref_blocks_to_dict([(("pm", 0, 0, 1), {(1,): np.array([1j])})], 1)
+        for writer in (blocks_to_dict, blocks_text):
+            with pytest.raises(ParseError) as got:
+                writer(bad, 1)
+            assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
+
+    # sha256 of `code decompose` output on the benchmark's file-pipeline shapes
+    # (samples, value_dim, d, j), the coefficients being the sliced shift of the
+    # analyzed samples; taken with the dict-form decomposition and writer
+    DECOMPOSE_PINS = {
+        (1, 1 << 14, 1, 2, 1): "3e5f6ddb0c813471388821431bc00098852eee3bb794d1a5c41117aaf0b9e238",
+        (1, 1 << 14, 3, 3, 3): "38eb311465d471cab16eee322716106fb012a5d0acdbd2c17abe554403631946",
+        (1, 1 << 16, 1, 2, 2): "fa33822264581f8c93b96127d709029d27f02480bb4f0cce08199a6f5f6abc5e",
+        (2, 1 << 14, 1, 2, 1): "cb0fedb4c73127c5e90c158b915fedc57385a574f69479c4eb919c00d9f6fb32",
+        (2, 1 << 14, 3, 3, 3): "ca48a7cdf63bcb3ddba78a71fabbc1b21d9a8456861d1f40a2a9631c9885cb0c",
+        (2, 1 << 16, 1, 2, 2): "55701924dfaf1dffbe0194cefe82100e823260179952145a95f8177cb0a40d9d",
+    }
+
+    @pytest.mark.parametrize("seed, n, value_dim, d, j", sorted(DECOMPOSE_PINS))
+    def test_code_decompose_bytes_pinned(self, tmp_path, seed, n, value_dim, d, j):
+        samples = np.random.default_rng(seed).standard_normal((n, value_dim))
+        coeffs = apply_sj(j, d, haar_analyze(samples[:, 0] if value_dim == 1 else samples))
+        src, out = tmp_path / "coeffs.json", tmp_path / "blocks.json"
+        write_haar_coeffs(src, coeffs)
+        assert main(["code", "decompose", "--input", str(src), "--d", str(d),
+                     "--output", str(out)]) == EXIT_OK
+        got = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == self.DECOMPOSE_PINS[seed, n, value_dim, d, j]
 
     @settings(max_examples=60, deadline=None)
     @given(samples())

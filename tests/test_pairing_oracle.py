@@ -14,7 +14,6 @@ from haartorus.coding import block_depth, coded_shift_blocks, martingale_decompo
 from haartorus.experiments import (
     _coord_expectation,
     _coded_pairing,
-    _decompose,
     _indicator_factor,
     _pattern_factor,
     _transform_factor,
@@ -110,8 +109,8 @@ def pairing_inputs(draw):
 def test_ancestor_walk_equals_all_pairs(inputs, variant):
     d, j, f, g = inputs
     c0 = 0.9
-    assert _coded_pairing(j, d, _decompose(f, d), g, CUTOFF, c0)[VARIANTS.index(variant)] \
-        == ref_coded_pairing(j, d, f, g, variant, CUTOFF, c0)
+    got = _coded_pairing(j, d, martingale_decompose(f, d), g, CUTOFF, c0)
+    assert got[VARIANTS.index(variant)] == ref_coded_pairing(j, d, f, g, variant, CUTOFF, c0)
 
 
 def test_dense_pairing_equals_all_pairs(golden_c0):
@@ -124,6 +123,6 @@ def test_dense_pairing_equals_all_pairs(golden_c0):
                        {k: rng.standard_normal(2) for k in entries})
         for j in range(1, d + 1):
             for variant in VARIANTS:
-                got = _coded_pairing(j, d, _decompose(f, d), g, CUTOFF,
+                got = _coded_pairing(j, d, martingale_decompose(f, d), g, CUTOFF,
                                      golden_c0)[VARIANTS.index(variant)]
                 assert got == ref_coded_pairing(j, d, f, g, variant, CUTOFF, golden_c0)

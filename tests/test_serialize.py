@@ -1,5 +1,6 @@
 """File formats: JSON schemas, CSV layouts, atomic writes, golden comparison."""
 
+import json
 import math
 import os
 
@@ -29,7 +30,6 @@ from haartorus.experiments import (
 from haartorus.serialize import (
     GOLDEN_DIR_ENV,
     atomic_write_text,
-    blocks_from_dict,
     blocks_to_dict,
     compare_dimension_sweep,
     compare_modulation_sweep,
@@ -140,17 +140,18 @@ class TestJsonSchemas:
 
     def test_blocks_roundtrip(self, rng):
         blocks = martingale_decompose(haar_analyze(rng.standard_normal(16)), 2, 1)
-        d, back = blocks_from_dict(blocks_to_dict(blocks, 2))
-        assert d == 2
-        assert len(back) == len(blocks)
-        for a, b in zip(back, blocks):
-            assert (a.kind, a.k, a.m, a.sign) == (b.kind, b.k, b.m, b.sign)
-            assert set(a.entries) == set(b.entries)
+        obj = json.loads(dumps_json(blocks_to_dict(blocks, 2)))
+        assert obj["d"] == 2
+        assert len(obj["blocks"]) == len(blocks)
+        for row, b in zip(obj["blocks"], blocks):
+            assert (row["kind"], row["k"], row["m"], row["sign"]) == (b.kind, b.k, b.m, b.sign)
+            back = {tuple(e["prefix"]): e["values"] for e in row["entries"]}
+            assert set(back) == set(b.entries)
             for prefix, w in b.entries.items():
-                assert np.array_equal(a.entries[prefix], w)
+                assert np.array_equal(back[prefix], w)
 
     def test_complex_weights_rejected(self):
-        block = MartingaleBlock("pm", 0, 0, 1, {(1,): np.array([1.0 + 2.0j])})
+        block = MartingaleBlock("pm", 0, 0, 1, np.array([2]), np.array([[1.0 + 2.0j]]))
         with pytest.raises(ParseError):
             blocks_to_dict([block], 1)
 
