@@ -89,15 +89,23 @@ class TestSignToss:
         b = random_paths(2, 2, 5, seed=7)
         assert [p.node(4) for p in a] == [p.node(4) for p in b]
 
-
-class TestMartingaleBlocks:
-    def small_coeffs(self):
-        samples = np.array([4.0, 2.0, -1.0, 3.0, 0.5, 0.5, 2.0, -2.0])
-        return haar_analyze(samples)
+    @given(depth=st.integers(0, 62), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_index_bijection(self, depth, data):
+        index = data.draw(st.integers(min_value=0, max_value=(1 << depth) - 1))
+        block = MartingaleBlock("pm", 0, 0, 1, np.array([(1 << depth) + index]),
+                                np.zeros((1, 1)))
+        prefix = block.prefixes[0].tolist()
+        assert len(prefix) == depth
+        assert set(prefix) <= {-1, 1}
+        back = 0
+        for outcome in prefix:
+            back = 2 * back + (0 if outcome > 0 else 1)
+        assert back == index
 
     @given(depth=st.integers(0, 62), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_prefixes_read_the_index_bits(self, depth, data):
+    def test_prefix_reads_the_low_depth_bits(self, depth, data):
         indices = sorted(data.draw(st.sets(st.integers(0, (1 << depth) - 1), min_size=1,
                                            max_size=8)))
         positions = np.array([(1 << depth) + i for i in indices], dtype=np.int64)
@@ -108,6 +116,12 @@ class TestMartingaleBlocks:
         assert block.prefixes.tolist() == want
         assert list(block.entries) == [tuple(p) for p in want]
         assert block.entries is block.entries
+
+
+class TestMartingaleBlocks:
+    def small_coeffs(self):
+        samples = np.array([4.0, 2.0, -1.0, 3.0, 0.5, 0.5, 2.0, -2.0])
+        return haar_analyze(samples)
 
     def test_prefixes_are_the_outcomes_of_paths_to_the_node(self):
         for path in random_paths(3, 3, 40, seed=5):
