@@ -264,7 +264,13 @@ def _norm_operator(config):
     if name == "hilbert":
         return experiments.hilbert_multiplier_operator(params["cutoff"])
     if name == "identity":
-        return experiments.identity_operator(2 ** (params["depth"] + 1))
+        depth = params["depth"]
+        if depth < 0:
+            raise InvalidInputError(f"depth must be >= 0, got {depth}")
+        if depth > shifts.MAX_MATRIX_DEPTH:
+            raise ResourceLimitError(
+                f"depth {depth} exceeds the identity depth cap {shifts.MAX_MATRIX_DEPTH}")
+        return experiments.identity_operator(2 ** (depth + 1))
     if name == "shift-vector":
         return experiments.riesz_vector_operator(params["d"], params["depth"])
     if name == "s0":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .haar import DyadicNode, HaarCoeffs, basis_position
 
 
@@ -295,15 +295,26 @@ def sliced_multiplier_apply(j, e: EkSpaceElement):
     return EkSpaceElement(e.d, e.clusters, tuple(new_terms), e.value_dim)
 
 
+# Largest last cluster index of a random element. Modulating a term of cluster
+# k forms the exact integers A^(s*d + u + 1) for every s <= k, so the cost of
+# `experiment modulation` grows faster than k^2: at its defaults (30 terms,
+# d = 2, nine scales 16 ... 4096) k_max 1024 takes 4.2 s CPU, 2048 takes 22 s
+# and 4096 takes 132 s on a 2-core VM (Python 3.11).
+MAX_KMAX = 1024
+
+
 def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
     """Seeded random element of n_terms distinct frequencies, magnitudes <= max_mag.
 
     More terms than the (2 max_mag + 1)^((k_max+1) d) - 1 nonzero frequencies, and
-    d < 1, k_max < 0, max_mag < 1 or n_terms < 0, are rejected before the first draw.
+    d < 1, k_max < 0, max_mag < 1 or n_terms < 0, are rejected before the first draw,
+    as is k_max above MAX_KMAX when there is a term to draw (a ResourceLimitError).
     """
     if d < 1 or k_max < 0 or max_mag < 1 or n_terms < 0:
         raise InvalidInputError(f"need d >= 1, k_max >= 0, max_mag >= 1, n_terms >= 0; got d = "
                                 f"{d}, k_max = {k_max}, max_mag = {max_mag}, n_terms = {n_terms}")
+    if k_max > MAX_KMAX and n_terms > 0:
+        raise ResourceLimitError(f"k_max {k_max} exceeds the cluster cap MAX_KMAX = {MAX_KMAX}")
     # past bit_length + 1 coordinates there are more than n_terms frequencies
     count = (2 * max_mag + 1) ** min((k_max + 1) * d, int(n_terms).bit_length() + 1) - 1
     if n_terms > count:

@@ -89,10 +89,18 @@ def _check_schema(obj, path):
         )
 
 
-def _real_array(arr, path=None, field=None):
+def _real_array(arr, path=None, field=None, writer=None):
+    """Real part of values bound for a file, which holds real numbers only.
+
+    Complex values raise an InvalidInputError that names the writer, or a
+    ParseError where no writer is named.
+    """
     arr = np.asarray(arr)
     if np.iscomplexobj(arr):
         if np.any(arr.imag):
+            if writer is not None:
+                raise InvalidInputError(f"{writer}: field {field!r} holds complex values, "
+                                        "which the file format cannot represent")
             raise ParseError(
                 "complex values not representable here", path=path, field=field
             )
@@ -100,8 +108,8 @@ def _real_array(arr, path=None, field=None):
     return arr
 
 
-def _real_list(arr, path=None, field=None):
-    return [float(x) for x in _real_array(arr, path, field)]
+def _real_list(arr, path=None, field=None, writer=None):
+    return [float(x) for x in _real_array(arr, path, field, writer)]
 
 
 def _list_layout(n, indent):
@@ -121,7 +129,7 @@ def haar_coeffs_to_dict(coeffs: HaarCoeffs):
         {
             "depth": int(t),
             "index": int(i),
-            "value": _real_list(v, field="value"),
+            "value": _real_list(v, field="value", writer="haar_coeffs_to_dict"),
         }
         for (t, i), v in zip(coeffs.nodes, coeffs.values)
     ]
@@ -131,7 +139,8 @@ def haar_coeffs_to_dict(coeffs: HaarCoeffs):
             {
                 "depth": 0,
                 "index": 0,
-                "value": _real_list(coeffs.root_part, field="value"),
+                "value": _real_list(coeffs.root_part, field="value",
+                                    writer="haar_coeffs_to_dict"),
             },
         )
     return {
@@ -139,7 +148,7 @@ def haar_coeffs_to_dict(coeffs: HaarCoeffs):
         "kind": "haar_coeffs",
         "depth_limit": coeffs.depth_limit,
         "value_dim": coeffs.value_dim,
-        "mean": _real_list(coeffs.mean_part, field="mean"),
+        "mean": _real_list(coeffs.mean_part, field="mean", writer="haar_coeffs_to_dict"),
         "entries": entries,
     }
 
@@ -151,10 +160,10 @@ def haar_coeffs_text(coeffs: HaarCoeffs):
         nodes, values = [(0, 0)] + nodes, np.concatenate((coeffs.root_part[None], values))
     row = ('    {\n      "depth": %d,\n      "index": %d,\n      "value": '
            + _list_layout(coeffs.value_dim, 6) + "\n    }")
-    values = _real_array(values, field="value").tolist()
+    values = _real_array(values, field="value", writer="haar_coeffs_text").tolist()
     rows = ",\n".join([row % (*node, *v) for node, v in zip(nodes, values)])
     mean = _list_layout(coeffs.value_dim, 2) % tuple(
-        _real_array(coeffs.mean_part, field="mean").tolist())
+        _real_array(coeffs.mean_part, field="mean", writer="haar_coeffs_text").tolist())
     return (f'{{\n  "depth_limit": {coeffs.depth_limit},\n  "entries": '
             + (f"[\n{rows}\n  ]" if rows else "[]")
             + f',\n  "kind": "haar_coeffs",\n  "mean": {mean},\n  "schema": {SCHEMA_VERSION},'

@@ -121,26 +121,47 @@ def _run_starts(steps):
     return start
 
 
-def _canonical(freqs, coeffs):
-    """Rows in lexicographic frequency order, duplicates summed, zero rows dropped.
+def _sort_plan(freqs):
+    """Rows in lexicographic order, the order that sorts them, and the sign of each step.
 
-    Rows that already ascend skip the sort, and rows that strictly ascend
-    skip the merge; the result has the same bits either way.
+    The order is None when the rows already ascend; the steps run between
+    consecutive sorted rows.
     """
     steps = _row_steps(freqs)
-    if (steps < 0).any():
-        order = np.lexsort(freqs.T[::-1])
-        freqs, coeffs = freqs[order], coeffs[order]
-        steps = _row_steps(freqs)
+    if not (steps < 0).any():
+        return freqs, None, steps
+    order = np.lexsort(freqs.T[::-1])
+    freqs = freqs[order]
+    return freqs, order, _row_steps(freqs)
+
+
+def _merge(freqs, coeffs):
+    """Rows in lexicographic order with duplicates summed, in input order within a run.
+
+    `coeffs` may carry any trailing shape. Rows that already ascend skip the
+    sort, and rows that strictly ascend skip the merge; the result has the
+    same bits either way.
+    """
+    freqs, order, steps = _sort_plan(freqs)
+    if order is not None:
+        coeffs = coeffs[order]
     if (steps > 0).all():
-        merged = coeffs + 0.0  # as the merge adds a lone row to zero: -0.0 becomes 0.0
-    else:
-        start = _run_starts(steps)
-        merged = np.zeros((int(start.sum()), coeffs.shape[1]), dtype=np.complex128)
-        np.add.at(merged, np.cumsum(start) - 1, coeffs)
-        freqs = freqs[start]
+        return freqs, coeffs + 0.0  # as the merge adds a lone row to zero: -0.0 becomes 0.0
+    start = _run_starts(steps)
+    merged = np.zeros((int(start.sum()),) + coeffs.shape[1:], dtype=np.complex128)
+    np.add.at(merged, np.cumsum(start) - 1, coeffs)
+    return freqs[start], merged
+
+
+def _canonical(freqs, coeffs):
+    """Rows in lexicographic frequency order, duplicates summed, zero rows dropped."""
+    freqs, merged = _merge(freqs, coeffs)
     keep = merged.any(axis=1)
     return freqs[keep], merged[keep]
+
+
+class _Ascending(tuple):
+    """(freqs, coeffs) with strictly ascending rows within MAX_FREQUENCY, taken unchecked."""
 
 
 def _lookup(keys, rows):
@@ -180,13 +201,21 @@ class TrigPoly:
             if freqs.shape != (len(coeffs), dim) or coeffs.shape != (len(freqs), value_dim):
                 raise InvalidInputError(f"array shapes {freqs.shape}, {coeffs.shape} do not "
                                         f"fit {dim} coordinates and value_dim {value_dim}")
-            if ((freqs > MAX_FREQUENCY) | (freqs < -MAX_FREQUENCY)).any():
+            if not isinstance(terms, _Ascending) and (
+                    (freqs > MAX_FREQUENCY) | (freqs < -MAX_FREQUENCY)).any():
                 raise InvalidInputError(f"frequency beyond the bound {MAX_FREQUENCY}")
         if not np.isfinite(coeffs).all():
             bad = tuple(int(x) for x in freqs[~np.isfinite(coeffs).all(axis=1)][0])
             raise InvalidInputError(f"coefficient of frequency {bad} is not finite")
         self.d, self.clusters, self.value_dim = d, clusters, value_dim
-        self.freqs, self.coeffs = _canonical(freqs, coeffs)
+        if isinstance(terms, _Ascending):
+            coeffs = coeffs + 0.0
+            keep = coeffs.any(axis=1)
+            if not keep.all():
+                freqs, coeffs = freqs[keep], coeffs[keep]
+            self.freqs, self.coeffs = freqs, coeffs
+        else:
+            self.freqs, self.coeffs = _canonical(freqs, coeffs)
         self.freqs.flags.writeable = self.coeffs.flags.writeable = False
 
     @functools.cached_property
@@ -198,17 +227,17 @@ class TrigPoly:
     def total_dim(self):
         return self.d * self.clusters
 
-    def _with(self, freqs, coeffs):
-        return TrigPoly(self.d, self.clusters, (freqs, coeffs), self.value_dim)
+    def _with(self, terms):
+        return TrigPoly(self.d, self.clusters, terms, self.value_dim)
 
     def scale(self, factor):
-        return self._with(self.freqs, self.coeffs * factor)
+        return self._with(_Ascending((self.freqs, self.coeffs * factor)))
 
     def add(self, other):
         if (self.d, self.clusters, self.value_dim) != (other.d, other.clusters, other.value_dim):
             raise InvalidInputError("cluster structure mismatch in addition")
-        return self._with(np.concatenate((self.freqs, other.freqs)),
-                          np.concatenate((self.coeffs, other.coeffs)))
+        return self._with((np.concatenate((self.freqs, other.freqs)),
+                           np.concatenate((self.coeffs, other.coeffs))))
 
     def evaluate(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
@@ -226,7 +255,7 @@ def embed_variable(p: TrigPoly, var_index, d, clusters=1):
         raise InvalidInputError(f"variable index {var_index} out of range for {dim}")
     freqs = np.zeros((len(p.freqs), dim), dtype=np.int64)
     freqs[:, var_index] = p.freqs[:, 0]
-    return TrigPoly(d, clusters, (freqs, p.coeffs), p.value_dim)
+    return TrigPoly(d, clusters, _Ascending((freqs, p.coeffs)), p.value_dim)
 
 
 def square_wave(kind, harmonic_cutoff):
@@ -246,9 +275,9 @@ def square_wave(kind, harmonic_cutoff):
     k = np.arange(1, harmonic_cutoff + 1, 2)
     sine = kind == "sqsin"
     c = -2.0j / (math.pi * k) if sine else 2.0 * (-1.0) ** ((k - 1) // 2) / (math.pi * k)
-    # rows in ascending order, -cutoff ... -1 then 1 ... cutoff, so no sort is needed
+    # rows in ascending order, -cutoff ... -1 then 1 ... cutoff
     coeffs = np.concatenate(((-c if sine else c)[::-1], c))[:, None]
-    return TrigPoly(1, 1, (np.concatenate((-k[::-1], k))[:, None], coeffs))
+    return TrigPoly(1, 1, _Ascending((np.concatenate((-k[::-1], k))[:, None], coeffs)))
 
 
 def square_wave_exact(kind, theta):
@@ -263,7 +292,7 @@ def square_wave_arc_values(kind):
 
 def _multiplier(p: TrigPoly, factor):
     keep = factor != 0
-    return p._with(p.freqs[keep], p.coeffs[keep] * factor[keep, None])
+    return p._with(_Ascending((p.freqs[keep], p.coeffs[keep] * factor[keep, None])))
 
 
 def riesz_apply(j, p: TrigPoly):
@@ -320,7 +349,9 @@ def quarter_arc_project(j, p: TrigPoly):
         raise InvalidInputError(f"j must be in [1, {p.d}], got {j}")
     zeroed = p.freqs * (np.arange(p.d) != j - 1)
     avg = arc_averages(p.freqs[:, j - 1])
-    return ArcBundle(j, {n: p._with(zeroed, p.coeffs * avg[:, col, None])
+    # one merge for all four arcs: each (arc, value) column sums in row order
+    freqs, merged = _merge(zeroed, p.coeffs[:, None, :] * avg[:, :, None])
+    return ArcBundle(j, {n: p._with(_Ascending((freqs, merged[:, col])))
                          for col, n in enumerate(ARC_NS)})
 
 
@@ -337,11 +368,19 @@ def bundle_poly_inner(a: ArcBundle, q: TrigPoly):
     if (member.d, member.clusters, member.value_dim) != (q.d, q.clusters, q.value_dim):
         raise InvalidInputError("cluster structure mismatch in bundle pairing")
     zeroed = q.freqs * (np.arange(q.total_dim) != a.var - 1)
+    # the probe's distinct rows, found once and looked up once per arc
+    zeroed, order, steps = _sort_plan(zeroed)
+    start = _run_starts(steps)[:len(zeroed)]  # an empty probe has no run
+    run = np.cumsum(start) - 1
+    if order is not None:
+        run[order] = run.copy()
+    heads = zeroed[start]
     weights = np.conj(arc_integrals(q.freqs[:, a.var - 1])) / TWO_PI
+    conj_q = np.conj(q.coeffs)
     total = 0.0 + 0.0j
     for col, n in enumerate(ARC_NS):
-        idx = _lookup(a.arcs[n].freqs, zeroed)
+        idx = _lookup(a.arcs[n].freqs, heads)[run]
         hit = idx >= 0
-        pair = np.sum(a.arcs[n].coeffs[idx[hit]] * np.conj(q.coeffs[hit]), axis=1)
+        pair = np.sum(a.arcs[n].coeffs[idx[hit]] * conj_q[hit], axis=1)
         total += complex(np.sum(pair * weights[hit, col]))
     return total

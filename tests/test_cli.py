@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from haartorus import (
+    HaarCoeffs,
     ShiftOperator,
     TrigPoly,
     apply_sj,
@@ -17,6 +18,7 @@ from haartorus import (
     random_ek_element,
     riesz_apply,
 )
+from haartorus import experiments, serialize
 from haartorus.cli import (
     EXIT_GOLDEN,
     EXIT_INTERNAL,
@@ -26,6 +28,8 @@ from haartorus.cli import (
     main,
     run,
 )
+from haartorus.coding import MAX_KMAX
+from haartorus.experiments import MAX_GRID
 from haartorus.serialize import (
     dumps_json,
     haar_coeffs_from_dict,
@@ -39,6 +43,7 @@ from haartorus.serialize import (
     write_samples_csv,
     write_trig_poly,
 )
+from haartorus.shifts import MAX_MATRIX_DEPTH
 
 
 def run_json(capsys, argv):
@@ -192,6 +197,47 @@ class TestExitCodes:
         assert main(["experiment", "duality", "--depth", depth]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err
+
+    def test_kmax_beyond_cap_is_internal_error_before_any_draw(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(experiments, "modulation_decay_experiment", forbidden)
+        rc = main(["experiment", "modulation", "--kmax", str(MAX_KMAX + 1)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL and captured.out == ""
+        assert f"k_max {MAX_KMAX + 1} exceeds the cluster cap MAX_KMAX = 1024" in captured.err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--operator", "hilbert", "--cutoff", str(MAX_GRID // 8 + 1)],
+         f"8 x cutoff {MAX_GRID // 8 + 1} = {MAX_GRID + 8} points exceeds MAX_GRID = 2097152"),
+        (["--operator", "identity", "--depth", str(MAX_MATRIX_DEPTH + 1)],
+         "depth 13 exceeds the identity depth cap 12"),
+    ], ids=["hilbert-grid", "identity-depth"])
+    def test_norm_estimate_beyond_cap_is_internal_error(self, capsys, monkeypatch, flags, named):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        monkeypatch.setattr(experiments, "lp_norm_estimate", forbidden)
+        monkeypatch.setattr(experiments, "identity_operator", forbidden)
+        rc = main(["norm", "estimate", *flags])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL and captured.out == ""
+        assert named in captured.err
+
+    def test_negative_identity_depth_is_usage_error(self, capsys):
+        assert main(["norm", "estimate", "--operator", "identity", "--depth", "-3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "depth must be >= 0, got -3" in captured.err
+
+    def test_complex_coefficients_to_write_are_usage_error(self, capsys, monkeypatch):
+        complex_coeffs = HaarCoeffs(1, 1, [0.0], [1.0], {(1, 0): [1.0j], (1, 1): [2.0]})
+        monkeypatch.setattr(serialize, "read_haar_coeffs", lambda path: complex_coeffs)
+        assert main(["shift", "apply", "--input", "unused.json", "--d", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "haar_coeffs_text: field 'value' holds complex values" in captured.err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(RunConfig("no such")) == EXIT_USAGE

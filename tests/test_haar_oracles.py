@@ -281,17 +281,21 @@ class TestTextWriters:
             assert haar_coeffs_text(coeffs) == dumps_json(haar_coeffs_to_dict(coeffs))
 
     def test_complex_coefficients_raise_like_the_dict_writer(self):
-        for mean, entries, field in (
-            (np.array([1j]), {}, "mean"),
-            (np.zeros(1), {(1, 0): np.array([1 + 1j])}, "value"),
+        # a write-side input error naming its writer, not the reader's ParseError
+        for mean, root, entries, field in (
+            (np.array([1j]), np.zeros(1), {}, "mean"),
+            (np.zeros(1), np.array([-2j]), {}, "value"),
+            (np.zeros(1), np.zeros(1), {(1, 0): np.array([1 + 1j])}, "value"),
         ):
-            coeffs = HaarCoeffs(2, 1, mean, np.zeros(1), entries)
-            with pytest.raises(ParseError) as want:
+            coeffs = HaarCoeffs(2, 1, mean, root, entries)
+            with pytest.raises(InvalidInputError) as want:
                 haar_coeffs_to_dict(coeffs)
-            with pytest.raises(ParseError) as got:
+            with pytest.raises(InvalidInputError) as got:
                 haar_coeffs_text(coeffs)
-            assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
-            assert got.value.field == field
+            assert not isinstance(want.value, ParseError) and not isinstance(got.value, ParseError)
+            tail = f": field {field!r} holds complex values, which the file format cannot represent"
+            assert str(want.value) == "haar_coeffs_to_dict" + tail
+            assert str(got.value) == "haar_coeffs_text" + tail
         real = HaarCoeffs(2, 1, np.array([1 + 0j]), np.zeros(1), {(2, 3): np.array([2 + 0j])})
         assert haar_coeffs_text(real) == dumps_json(haar_coeffs_to_dict(real))
 

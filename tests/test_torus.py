@@ -430,3 +430,34 @@ class TestHypothesisProperties:
         for kind in ("sqsin", "sqcos"):
             with pytest.raises(ResourceLimitError, match="MAX_WAVE_CUTOFF"):
                 square_wave(kind, cutoff)
+
+
+def test_lemma_check_runs_no_order_check_per_poly(monkeypatch):
+    """Only the probes that zero a coordinate have their row order read.
+
+    A lemma check builds ten polys (two waves, two embeddings, a Riesz image,
+    a scaled image and four arc members), and every producer hands the rows
+    over already ascending. The rows are read step by step twice: once for
+    the projection's shared merge and once for the pairing's probe runs. Both
+    zeroed matrices are one run, so nothing is sorted. An order check in
+    every constructor would add ten to the first count.
+    """
+    from haartorus import torus
+    from haartorus.experiments import verify_lemma_hvs
+
+    calls = {"_row_steps": 0, "lexsort": 0}
+    row_steps, lexsort = torus._row_steps, np.lexsort
+
+    def counting_row_steps(freqs):
+        calls["_row_steps"] += 1
+        return row_steps(freqs)
+
+    def counting_lexsort(keys, *args, **kwargs):
+        calls["lexsort"] += 1
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(torus, "_row_steps", counting_row_steps)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    report = verify_lemma_hvs(4, 4, 3, -1, N=63)
+    assert report.parameters["matched"]
+    assert calls == {"_row_steps": 2, "lexsort": 0}

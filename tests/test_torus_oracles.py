@@ -6,7 +6,10 @@ matrices. Coefficientwise multipliers must agree exactly; results that sum
 several terms agree within REL_TOL times the sum of the absolute values that
 enter the sum. The canonical form, the row lookup and the arc integrals are
 also checked bit for bit against the forms that sort every input and divide
-by ik in complex arithmetic.
+by ik in complex arithmetic. The producers that hand TrigPoly rows already in
+order, the shared quarter-arc merge and the shared probe runs of
+`bundle_poly_inner` are checked bit for bit against the forms that
+canonicalize every poly, project arc by arc and look the probe up per arc.
 """
 
 import math
@@ -25,16 +28,21 @@ from haartorus.torus import (
     TrigPoly,
     _canonical,
     _lookup,
+    _multiplier,
     arc_average,
+    arc_averages,
     arc_exp_integral,
     arc_integrals,
     bundle_inner,
     bundle_poly_inner,
     directional_hilbert,
+    embed_variable,
     inner_product,
     quarter_arc_project,
     riesz_apply,
+    square_wave,
 )
+from haartorus.errors import InvalidInputError
 
 REL_TOL = 1e-13
 
@@ -336,3 +344,140 @@ def test_arc_integrals_equal_complex_division_bit_for_bit():
     got, want = arc_integrals(k), ref_arc_integrals(k)
     assert got.shape == want.shape == (len(k), len(ARC_NS))
     assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+# ---------------------------------------------------------------------------
+# order-trusting producers, the shared projection merge and the shared probe
+# runs, bit for bit against the forms that canonicalize every poly
+
+
+def canonical_poly(d, clusters, freqs, coeffs, value_dim):
+    """The poly through the full canonical form: steps, sort, merge, zero-row drop."""
+    return TrigPoly(d, clusters, (freqs, coeffs), value_dim)
+
+
+def sorting_quarter_arc_project(j, p):
+    """One canonicalized poly per arc, as projected before the arcs shared one merge."""
+    zeroed = p.freqs * (np.arange(p.d) != j - 1)
+    avg = arc_averages(p.freqs[:, j - 1])
+    return ArcBundle(j, {n: canonical_poly(p.d, p.clusters, zeroed, p.coeffs * avg[:, col, None],
+                                           p.value_dim)
+                         for col, n in enumerate(ARC_NS)})
+
+
+def per_arc_bundle_poly_inner(a, q):
+    """The bundle pairing that looks the whole zeroed probe up once per arc."""
+    zeroed = q.freqs * (np.arange(q.total_dim) != a.var - 1)
+    weights = np.conj(arc_integrals(q.freqs[:, a.var - 1])) / TWO_PI
+    total = 0.0 + 0.0j
+    for col, n in enumerate(ARC_NS):
+        idx = _lookup(a.arcs[n].freqs, zeroed)
+        hit = idx >= 0
+        pair = np.sum(a.arcs[n].coeffs[idx[hit]] * np.conj(q.coeffs[hit]), axis=1)
+        total += complex(np.sum(pair * weights[hit, col]))
+    return total
+
+
+def assert_same_poly(got, want):
+    assert (got.d, got.clusters, got.value_dim) == (want.d, want.clusters, want.value_dim)
+    assert_same_bits((got.freqs, got.coeffs), (want.freqs, want.coeffs))
+
+
+def same_complex_bits(x, y):
+    return np.array([x]).view(np.uint64).tolist() == np.array([y]).view(np.uint64).tolist()
+
+
+# subnormal parts: an arc average or a scale factor below 1/2 rounds them to 0
+TINY = [complex(5e-324, 0.0), complex(0.0, -5e-324), complex(-1e-323, 5e-324)]
+TRUST_COEFF = st.one_of(COEFF, st.sampled_from(TINY))
+
+
+@st.composite
+def projection_case(draw):
+    """(j, p): a single-cluster poly and a projection variable.
+
+    In "one run" draws only coordinate j is nonzero, so the zeroed rows
+    collapse to one run; in "sorts" draws coordinate j leads the row, so
+    zeroing it leaves rows that must be sorted; "mixed" draws anything.
+    Coefficients include signed zeros and subnormals that underflow to a zero
+    row once multiplied by an arc average.
+    """
+    d = draw(st.integers(1, 3))
+    value_dim = draw(st.integers(1, 3))
+    how = draw(st.sampled_from(("one run", "sorts", "mixed")))
+    j = 1 if how == "sorts" else draw(st.integers(1, d))
+    freq = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    coeff = st.lists(TRUST_COEFF, min_size=value_dim, max_size=value_dim)
+    rows = draw(st.lists(st.tuples(freq, coeff), max_size=12))
+    freqs = np.array([f for f, _ in rows], dtype=np.int64).reshape(len(rows), d)
+    if how == "one run":
+        freqs *= np.arange(d) == j - 1
+    coeffs = np.array([c for _, c in rows], dtype=np.complex128).reshape(len(rows), value_dim)
+    return j, canonical_poly(d, 1, freqs, coeffs, value_dim)
+
+
+class TestOrderTrustingPaths:
+    @given(projection_case())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_projection_merge_equals_per_arc_canonical_form(self, case):
+        j, p = case
+        got, want = quarter_arc_project(j, p), sorting_quarter_arc_project(j, p)
+        assert got.var == want.var == j
+        zeroed = p.freqs * (np.arange(p.d) != j - 1)
+        avg = arc_averages(p.freqs[:, j - 1])
+        for col, n in enumerate(ARC_NS):
+            assert_same_poly(got.member(n), want.member(n))
+            member = got.member(n)
+            assert_same_bits((member.freqs, member.coeffs),
+                             ref_canonical(zeroed, p.coeffs * avg[:, col, None]))
+
+    @given(projection_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_probe_runs_equal_per_arc_lookup(self, case, data):
+        j, p = case
+        a = quarter_arc_project(j, p)
+        other = data.draw(projection_case())[1]
+        probes = [p, riesz_apply(1, p)]
+        if other.value_dim == p.value_dim and other.d == p.d:
+            probes.append(other)
+        for q in probes:
+            got, want = bundle_poly_inner(a, q), per_arc_bundle_poly_inner(a, q)
+            assert same_complex_bits(got, want)
+
+    @given(projection_case(), st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.3 - 2j, 1e-300, -1j]))
+    @settings(max_examples=100, deadline=None)
+    def test_trusting_producers_equal_the_canonical_form(self, case, factor):
+        j, p = case
+        assert_same_poly(p.scale(factor),
+                         canonical_poly(p.d, 1, p.freqs, p.coeffs * factor, p.value_dim))
+        norm = np.sqrt(np.einsum("ij,ij->i", p.freqs, p.freqs).astype(np.float64))
+        for got, mult in (
+                (riesz_apply(j, p), 1j * (-p.freqs[:, j - 1] / np.where(norm == 0.0, 1.0, norm))),
+                (directional_hilbert(j, p), -1j * np.sign(p.freqs[:, j - 1]))):
+            keep = mult != 0
+            want = canonical_poly(p.d, 1, p.freqs[keep], p.coeffs[keep] * mult[keep, None],
+                                  p.value_dim)
+            assert_same_poly(got, want)
+            assert_same_poly(_multiplier(p, mult), want)
+
+    @pytest.mark.parametrize("kind", ["sqsin", "sqcos"])
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 64])
+    def test_square_waves_and_embeddings_equal_the_canonical_form(self, kind, cutoff):
+        wave = square_wave(kind, cutoff)
+        assert_same_poly(wave, canonical_poly(1, 1, wave.freqs[::-1], wave.coeffs[::-1], 1))
+        for d, clusters, var in ((1, 1, 0), (3, 1, 1), (2, 2, 3)):
+            freqs = np.zeros((len(wave.freqs), d * clusters), dtype=np.int64)
+            freqs[:, var] = wave.freqs[:, 0]
+            assert_same_poly(embed_variable(wave, var, d, clusters),
+                             canonical_poly(d, clusters, freqs[::-1], wave.coeffs[::-1], 1))
+
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_scale_raises_the_constructor_error(self, factor):
+        p = TrigPoly(2, 1, {(1, -2): 3.0, (0, 5): 0.0 + 0.0j, (2, 0): 1e-300})
+        with np.errstate(invalid="ignore"):  # inf times a zero part is nan
+            with pytest.raises(InvalidInputError) as trusted:
+                p.scale(factor)
+            with pytest.raises(InvalidInputError) as canonical:
+                canonical_poly(2, 1, p.freqs, p.coeffs * factor, 1)
+        assert str(trusted.value) == str(canonical.value)
+        assert str(trusted.value) == "coefficient of frequency (1, -2) is not finite"
