@@ -264,13 +264,7 @@ def _norm_operator(config):
     if name == "hilbert":
         return experiments.hilbert_multiplier_operator(params["cutoff"])
     if name == "identity":
-        depth = params["depth"]
-        if depth < 0:
-            raise InvalidInputError(f"depth must be >= 0, got {depth}")
-        if depth > shifts.MAX_MATRIX_DEPTH:
-            raise ResourceLimitError(
-                f"depth {depth} exceeds the identity depth cap {shifts.MAX_MATRIX_DEPTH}")
-        return experiments.identity_operator(2 ** (depth + 1))
+        return experiments.identity_depth_operator(params["depth"])
     if name == "shift-vector":
         return experiments.riesz_vector_operator(params["d"], params["depth"])
     if name == "s0":

@@ -295,12 +295,11 @@ def sliced_multiplier_apply(j, e: EkSpaceElement):
     return EkSpaceElement(e.d, e.clusters, tuple(new_terms), e.value_dim)
 
 
-# Largest last cluster index of a random element. Modulating a term of cluster
-# k forms the exact integers A^(s*d + u + 1) for every s <= k, so the cost of
-# `experiment modulation` grows faster than k^2: at its defaults (30 terms,
-# d = 2, nine scales 16 ... 4096) k_max 1024 takes 4.2 s CPU, 2048 takes 22 s
-# and 4096 takes 132 s on a 2-core VM (Python 3.11).
-MAX_KMAX = 1024
+# Largest last cluster index of a random element. Each term is drawn cluster by
+# cluster into d * (k_max + 1) coordinates: 30 terms at k_max 4096 and d = 2
+# take 0.55 s CPU on a 2-core VM (Python 3.11). The modulation that follows is
+# capped by the bits it forms (experiments.MAX_MODULATION_BITS).
+MAX_KMAX = 4096
 
 
 def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):

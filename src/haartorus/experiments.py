@@ -513,19 +513,40 @@ class ModulationDecayResult:
     all_exact_zero: bool
 
 
+# Most bits one modulation sweep may spend on exact powers. Modulating a term
+# forms A^p for each nonzero stacked coordinate p (1-based), about p * bitlen(A)
+# bits, once per direction j and scale A. The time follows this count at
+# 1.3-2.4 ns per bit on a 2-core VM (Python 3.11): at the command's defaults
+# (30 terms, d = 2, nine scales 16 ... 4096) kmax 1024 forms 2.95e9 bits in
+# 4.2 s CPU, so the cap allows about 6-10 s.
+MAX_MODULATION_BITS = 2**32
+
+
+def _modulation_bits(element, A_values):
+    """Bits of the exact powers a sweep over A_values forms; see MAX_MODULATION_BITS."""
+    powers = sum(p for t in element.terms for p, c in enumerate(t.freq, 1) if c)
+    return element.d * powers * sum(A.bit_length() for A in A_values)
+
+
 def modulation_decay_experiment(element: EkSpaceElement | None = None,
                                 A_list=None, seed=1):
     """Aggregate multiplier error against the separation scale, with slope.
 
     The error for one scale sums modulation_difference over every direction
     j. The slope is the log-log least-squares fit; it is None when every
-    aggregate vanishes (axis-only spectra).
+    aggregate vanishes (axis-only spectra). A sweep whose exact powers exceed
+    MAX_MODULATION_BITS raises a ResourceLimitError before it modulates.
     """
     if element is None:
         element = random_ek_element(d=2, k_max=2, n_terms=30, seed=seed, max_mag=7)
     if A_list is None:
         A_list = [2**r for r in range(4, 13)]
     A_values = [int(A) for A in A_list]
+    bits = _modulation_bits(element, A_values)
+    if bits > MAX_MODULATION_BITS:
+        raise ResourceLimitError(
+            f"modulating {len(element.terms)} terms at {len(A_values)} scales forms {bits} "
+            f"bits of exact powers, over the cap MAX_MODULATION_BITS = {MAX_MODULATION_BITS}")
     errors = []
     for A in A_values:
         total = 0.0
@@ -579,6 +600,15 @@ def identity_operator(n):
         apply=lambda v: v[None, :].copy(),
         apply_adjoint=lambda y: y[0].copy(),
     )
+
+
+def identity_depth_operator(depth):
+    """identity_operator on the 2^(depth+1) coefficients of a depth-`depth` expansion."""
+    if depth < 0:
+        raise InvalidInputError(f"depth must be >= 0, got {depth}")
+    if depth > MAX_MATRIX_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds the identity depth cap {MAX_MATRIX_DEPTH}")
+    return identity_operator(2 ** (depth + 1))
 
 
 def matrix_operator(mats, operator_id):

@@ -89,27 +89,22 @@ def _check_schema(obj, path):
         )
 
 
-def _real_array(arr, path=None, field=None, writer=None):
+def _real_array(arr, field, writer):
     """Real part of values bound for a file, which holds real numbers only.
 
-    Complex values raise an InvalidInputError that names the writer, or a
-    ParseError where no writer is named.
+    Complex values raise an InvalidInputError that names the writer.
     """
     arr = np.asarray(arr)
     if np.iscomplexobj(arr):
         if np.any(arr.imag):
-            if writer is not None:
-                raise InvalidInputError(f"{writer}: field {field!r} holds complex values, "
-                                        "which the file format cannot represent")
-            raise ParseError(
-                "complex values not representable here", path=path, field=field
-            )
+            raise InvalidInputError(f"{writer}: field {field!r} holds complex values, "
+                                    "which the file format cannot represent")
         arr = arr.real
     return arr
 
 
-def _real_list(arr, path=None, field=None, writer=None):
-    return [float(x) for x in _real_array(arr, path, field, writer)]
+def _real_list(arr, field, writer):
+    return [float(x) for x in _real_array(arr, field, writer)]
 
 
 def _list_layout(n, indent):
@@ -341,16 +336,17 @@ def read_ek_element(path):
     return ek_element_from_dict(load_json(path), path=path)
 
 
-def _block_rows(b):
+def _block_rows(b, writer):
     """A block's prefixes and real weights in sorted prefix order: descending position."""
-    values = _real_array(b.values[::-1], field="values").astype(float)
+    values = _real_array(b.values[::-1], "values", writer).astype(float)
     return b.prefixes[::-1].tolist(), values.tolist()
 
 
 def blocks_to_dict(blocks, d):
     rows = []
     for b in blocks:
-        entries = [{"prefix": p, "values": v} for p, v in zip(*_block_rows(b))]
+        entries = [{"prefix": p, "values": v}
+                   for p, v in zip(*_block_rows(b, "blocks_to_dict"))]
         rows.append(
             {"kind": b.kind, "k": b.k, "m": b.m, "sign": b.sign, "entries": entries}
         )
@@ -376,7 +372,8 @@ def blocks_text(blocks, d):
 
     rows = []
     for b in blocks:
-        entries = ",\n".join([layout(len(p), len(v)) % (*p, *v) for p, v in zip(*_block_rows(b))])
+        entries = ",\n".join([layout(len(p), len(v)) % (*p, *v)
+                               for p, v in zip(*_block_rows(b, "blocks_text"))])
         rows.append(
             '    {\n      "entries": ' + (f"[\n{entries}\n      ]" if entries else "[]")
             + f',\n      "k": {b.k},\n      "kind": {json.dumps(b.kind)},\n      "m": {b.m},'

@@ -168,10 +168,6 @@ def _lookup(keys, rows):
     """Index of each row of `rows` in the canonical matrix `keys`, or -1."""
     if np.array_equal(keys, rows):
         return np.arange(len(rows))
-    steps = _row_steps(rows)
-    if (steps == 0).any() and not (steps < 0).any():
-        start = _run_starts(steps)  # one lookup per run of equal rows
-        return _lookup(keys, rows[start])[np.cumsum(start) - 1]
     both = np.concatenate((keys, rows))
     order = np.lexsort(both.T[::-1])  # stable: a key sorts before the rows equal to it
     start = _run_starts(_row_steps(both[order]))

@@ -18,7 +18,7 @@ from haartorus import (
     random_ek_element,
     riesz_apply,
 )
-from haartorus import experiments, serialize
+from haartorus import coding, experiments, serialize
 from haartorus.cli import (
     EXIT_GOLDEN,
     EXIT_INTERNAL,
@@ -207,7 +207,27 @@ class TestExitCodes:
         rc = main(["experiment", "modulation", "--kmax", str(MAX_KMAX + 1)])
         captured = capsys.readouterr()
         assert rc == EXIT_INTERNAL and captured.out == ""
-        assert f"k_max {MAX_KMAX + 1} exceeds the cluster cap MAX_KMAX = 1024" in captured.err
+        assert f"k_max {MAX_KMAX + 1} exceeds the cluster cap MAX_KMAX = 4096" in captured.err
+
+    def test_modulation_beyond_bit_cap_is_internal_error_before_modulating(self, capsys,
+                                                                          monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        monkeypatch.setattr(experiments, "modulation_difference", forbidden)
+        rc = main(["experiment", "modulation", "--kmax", "2048"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL and captured.out == ""
+        assert "over the cap MAX_MODULATION_BITS = 4294967296" in captured.err
+
+    def test_cheap_modulation_at_the_kmax_cap_runs(self, capsys, monkeypatch):
+        # few terms and small scales keep the exact powers far below the bit cap
+        monkeypatch.setattr(experiments, "modulation_difference",
+                            lambda j, e, A: coding.ModulationDifference((), 1.0 / A))
+        rc = main(["experiment", "modulation", "--kmax", str(MAX_KMAX), "--terms", "3",
+                   "--A-list", "16,32"])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["A_values"] == [16, 32]
 
     @pytest.mark.parametrize("flags, named", [
         (["--operator", "hilbert", "--cutoff", str(MAX_GRID // 8 + 1)],

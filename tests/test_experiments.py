@@ -347,6 +347,34 @@ class TestModulationDecay:
     def test_deterministic(self):
         assert modulation_decay_experiment() == modulation_decay_experiment()
 
+    def test_sweep_beyond_the_bit_cap_raises_before_modulating(self, monkeypatch):
+        from haartorus import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        # one nonzero coordinate p = 220 at 10^4 scales of 1001 bits: 2 * 220 * 10010000 bits
+        freq = [0] * 220
+        freq[-1] = 1
+        e = make_ek_element(2, 110, [(109, 1, 1, freq, 1.0)])
+        monkeypatch.setattr(experiments, "modulation_difference", forbidden)
+        with pytest.raises(ResourceLimitError, match="forms 4404400000 bits of exact powers, "
+                           "over the cap MAX_MODULATION_BITS = 4294967296"):
+            modulation_decay_experiment(e, [2**1000] * 10**4)
+
+    def test_bit_cap_admits_a_sweep_at_the_cap(self, monkeypatch):
+        from haartorus import experiments
+
+        # nonzero coordinates p = 1, 2, 3 and 6 (two terms), d = 2, bitlen(16) + bitlen(64) = 12
+        e = make_ek_element(2, 3, [(1, 0, 1, (1, -2, 3, 0, 0, 0), 1.0),
+                                   (2, 1, -1, (0, 0, 0, 0, 0, 5), 2.0)])
+        monkeypatch.setattr(experiments, "MAX_MODULATION_BITS", 2 * 12 * 12)
+        want = modulation_decay_experiment(e, [16, 64])
+        monkeypatch.setattr(experiments, "MAX_MODULATION_BITS", 2 * 12 * 12 - 1)
+        with pytest.raises(ResourceLimitError, match="forms 288 bits"):
+            modulation_decay_experiment(e, [16, 64])
+        assert want.A_values == (16, 64) and len(want.aggregate_errors) == 2
+
 
 class TestNormEstimation:
     def test_matches_singular_value_oracle(self, rng):

@@ -146,7 +146,8 @@ def ref_coded_shift(j, d, blocks):
 def ref_blocks_to_dict(blocks, d):
     """The block file's dict form, entries in sorted prefix order."""
     rows = [{"kind": kind, "k": k, "m": m, "sign": sign,
-             "entries": [{"prefix": [int(x) for x in p], "values": _real_list(w, field="values")}
+             "entries": [{"prefix": [int(x) for x in p],
+                          "values": _real_list(w, "values", "blocks_to_dict")}
                          for p, w in sorted(entries.items())]}
             for (kind, k, m, sign), entries in blocks]
     return {"schema": 1, "kind": "martingale_blocks", "d": d, "blocks": rows}
@@ -322,13 +323,14 @@ class TestTextWriters:
         for blocks, ref in cases:
             assert blocks_text(blocks, 2) == dumps_json(ref_blocks_to_dict(ref, 2))
             assert blocks_to_dict(blocks, 2) == ref_blocks_to_dict(ref, 2)
+        # a write-side input error naming its writer, as the Haar writers raise
         bad = [MartingaleBlock("pm", 0, 0, 1, np.array([2]), np.array([[1j]]))]
-        with pytest.raises(ParseError) as want:
-            ref_blocks_to_dict([(("pm", 0, 0, 1), {(1,): np.array([1j])})], 1)
         for writer in (blocks_to_dict, blocks_text):
-            with pytest.raises(ParseError) as got:
+            with pytest.raises(InvalidInputError) as got:
                 writer(bad, 1)
-            assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
+            assert not isinstance(got.value, ParseError)
+            assert str(got.value) == (f"{writer.__name__}: field 'values' holds complex values, "
+                                      "which the file format cannot represent")
 
     # sha256 of `code decompose` output on the benchmark's file-pipeline shapes
     # (samples, value_dim, d, j), the coefficients being the sliced shift of the

@@ -152,7 +152,7 @@ class TestJsonSchemas:
 
     def test_complex_weights_rejected(self):
         block = MartingaleBlock("pm", 0, 0, 1, np.array([2]), np.array([[1.0 + 2.0j]]))
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInputError, match="^blocks_to_dict: field 'values' holds"):
             blocks_to_dict([block], 1)
 
     def test_dumps_deterministic_and_sorted(self, rng):
