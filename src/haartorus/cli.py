@@ -241,6 +241,9 @@ def _run_experiment_modulation(config):
 
 def _run_experiment_duality(config):
     params = config.params
+    if params["runs"] > experiments.MAX_DUALITY_RUNS:
+        raise ResourceLimitError(
+            f"{params['runs']} runs exceed MAX_DUALITY_RUNS = {experiments.MAX_DUALITY_RUNS}")
     c0 = serialize.load_golden_c0(config.golden_dir)
     reports = []
     for run_index in range(params["runs"]):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 from .haar import DyadicNode, HaarCoeffs, basis_position
+from .torus import TrigPoly, _lookup, inner_product
 
 
 def _toss_value(prev_outcome, theta, first):
@@ -223,7 +224,7 @@ class EkSpaceElement:
     value_dim: int = 1
 
     def max_frequency(self):
-        return max((max(abs(x) for x in t.freq) for t in self.terms), default=0)
+        return max((max(max(t.freq), -min(t.freq)) for t in self.terms), default=0)
 
 
 def make_ek_element(d, clusters, term_specs, value_dim=1):
@@ -267,8 +268,6 @@ def check_ek_membership(e: EkSpaceElement):
 
 
 def ek_to_trig_poly(e: EkSpaceElement):
-    from .torus import TrigPoly
-
     terms = {}
     for t in e.terms:
         terms[t.freq] = terms.get(t.freq, 0) + t.coeff
@@ -295,11 +294,11 @@ def sliced_multiplier_apply(j, e: EkSpaceElement):
     return EkSpaceElement(e.d, e.clusters, tuple(new_terms), e.value_dim)
 
 
-# Largest last cluster index of a random element. Each term is drawn cluster by
-# cluster into d * (k_max + 1) coordinates: 30 terms at k_max 4096 and d = 2
-# take 0.55 s CPU on a 2-core VM (Python 3.11). The modulation that follows is
-# capped by the bits it forms (experiments.MAX_MODULATION_BITS).
-MAX_KMAX = 4096
+# Most frequency cells a random element may draw: n_terms x d x (k_max + 1), the
+# coordinates of its terms. At the defaults of `experiment modulation` (30 terms,
+# d = 2) kmax 4096 draws 245,820 cells in 0.55 s CPU on a 2-core VM (Python 3.11);
+# d = 1 costs most per cell, about 3 us, and draws at the cap in 1.5 s.
+MAX_DRAW_CELLS = 2**19
 
 
 def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
@@ -307,13 +306,15 @@ def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
 
     More terms than the (2 max_mag + 1)^((k_max+1) d) - 1 nonzero frequencies, and
     d < 1, k_max < 0, max_mag < 1 or n_terms < 0, are rejected before the first draw,
-    as is k_max above MAX_KMAX when there is a term to draw (a ResourceLimitError).
+    as are more than MAX_DRAW_CELLS cells n_terms * d * (k_max + 1) (a ResourceLimitError).
     """
     if d < 1 or k_max < 0 or max_mag < 1 or n_terms < 0:
         raise InvalidInputError(f"need d >= 1, k_max >= 0, max_mag >= 1, n_terms >= 0; got d = "
                                 f"{d}, k_max = {k_max}, max_mag = {max_mag}, n_terms = {n_terms}")
-    if k_max > MAX_KMAX and n_terms > 0:
-        raise ResourceLimitError(f"k_max {k_max} exceeds the cluster cap MAX_KMAX = {MAX_KMAX}")
+    cells = n_terms * d * (k_max + 1)
+    if cells > MAX_DRAW_CELLS:
+        raise ResourceLimitError(f"{n_terms} terms of d = {d} x {k_max + 1} clusters draw {cells} "
+                                 f"cells, over the cap MAX_DRAW_CELLS = {MAX_DRAW_CELLS}")
     # past bit_length + 1 coordinates there are more than n_terms frequencies
     count = (2 * max_mag + 1) ** min((k_max + 1) * d, int(n_terms).bit_length() + 1) - 1
     if n_terms > count:
@@ -353,13 +354,17 @@ class ScaledFrequency:
     """Stacked frequency in powers-of-1/A form relative to the leading power.
 
     entries[u] lists (offset, coef) pairs with offset <= 0; the float value of
-    coordinate u is sum(coef * A**offset).
+    coordinate u is sum(coef * A**offset), evaluated once and kept.
     """
 
     A: int
     entries: tuple
 
     def values(self):
+        return self._values
+
+    @functools.cached_property
+    def _values(self):
         try:
             a = float(self.A)
         except OverflowError:
@@ -374,9 +379,15 @@ class ScaledFrequency:
 @dataclass(frozen=True)
 class ModulatedTerm:
     term: EkTerm
-    stacked: tuple
     leading_power: int
     scaled: ScaledFrequency
+
+    @property
+    def stacked(self):
+        """Exact stacked integers: coordinate u is sum(coef * A**(offset + leading_power))."""
+        A, lead = self.scaled.A, self.leading_power
+        return tuple(sum(coef * A ** (offset + lead) for offset, coef in entry)
+                     for entry in self.scaled.entries)
 
 
 @dataclass(frozen=True)
@@ -395,6 +406,8 @@ class ModulatedSpectrum:
 def modulate(e: EkSpaceElement, A):
     """Separate clusters by scale: coordinate u picks up powers A^(s*d+u+1).
 
+    Each term keeps its powers relative to the leading one, A^(k*d+m+1), as a
+    ScaledFrequency; the exact integers are formed only when `stacked` is read.
     Requires A > 2 * max frequency magnitude so distinct stacked frequencies
     cannot collide.
     """
@@ -404,28 +417,16 @@ def modulate(e: EkSpaceElement, A):
         raise InvalidInputError(
             f"A = {A} too small: needs A > {2 * max_mag} for this spectrum"
         )
+    d = e.d
     out = []
     for t in e.terms:
-        lead = t.k * e.d + t.m + 1
-        stacked = []
-        scaled_entries = []
-        for u in range(e.d):
-            total = 0
-            pairs = []
-            for s in range(e.clusters):
-                coef = t.freq[s * e.d + u]
-                if coef:
-                    power = s * e.d + u + 1
-                    total += coef * A**power
-                    pairs.append((power - lead, coef))
-            stacked.append(total)
-            scaled_entries.append(tuple(pairs))
-        out.append(
-            ModulatedTerm(
-                t, tuple(stacked), lead, ScaledFrequency(A, tuple(scaled_entries))
-            )
+        lead = t.k * d + t.m + 1
+        entries = tuple(
+            tuple([(s * d + u + 1 - lead, coef) for s, coef in enumerate(t.freq[u::d]) if coef])
+            for u in range(d)
         )
-    return ModulatedSpectrum(A, e.d, e.clusters, tuple(out))
+        out.append(ModulatedTerm(t, lead, ScaledFrequency(A, entries)))
+    return ModulatedSpectrum(A, d, e.clusters, tuple(out))
 
 
 def modulated_riesz_multiplier(j, scaled: ScaledFrequency):
@@ -439,26 +440,22 @@ def modulated_riesz_multiplier(j, scaled: ScaledFrequency):
     return -1j * vals[j - 1] / norm
 
 
-@dataclass(frozen=True)
-class ModulationDifference:
-    per_term: tuple
-    aggregate: float
-
-
-def modulation_difference(j, e: EkSpaceElement, A):
-    """Per-term |modulated multiplier - sliced multiplier| * coefficient norm."""
-    spectrum = modulate(e, A)
-    rows = []
+def _multiplier_gaps(j, spectrum: ModulatedSpectrum):
+    """Per term: the modulated multiplier and |it - sliced multiplier| * coefficient norm."""
     for mt in spectrum.terms:
         t = mt.term
         approx = modulated_riesz_multiplier(j, mt.scaled)
         if t.m == j - 1:
-            lm = t.freq[t.k * e.d + t.m]
+            lm = t.freq[t.k * spectrum.d + t.m]
             exact = -1j * float((lm > 0) - (lm < 0))
         else:
             exact = 0.0 + 0.0j
-        rows.append(abs(approx - exact) * float(np.sqrt(np.sum(np.abs(t.coeff) ** 2))))
-    return ModulationDifference(tuple(rows), float(math.fsum(rows)))
+        yield approx, abs(approx - exact) * float(np.sqrt(np.sum(np.abs(t.coeff) ** 2)))
+
+
+def modulation_difference(j, spectrum: ModulatedSpectrum):
+    """Sum over terms of |modulated multiplier - sliced multiplier| * coefficient norm."""
+    return math.fsum(gap for _, gap in _multiplier_gaps(j, spectrum))
 
 
 def duality_transfer_check(phi: EkSpaceElement, gammas, A):
@@ -468,14 +465,13 @@ def duality_transfer_check(phi: EkSpaceElement, gammas, A):
     bound is sum_j ||(multiplier gap) . phi||_2 * ||gamma_j||_2, which is
     O(1/A) by construction.
     """
-    from .torus import inner_product
-
     d = phi.d
     if len(gammas) != d:
         raise InvalidInputError(f"need {d} partner elements, got {len(gammas)}")
     if any(g.d != d or g.clusters != phi.clusters for g in gammas):
         raise InvalidInputError("partner elements must share d and cluster count")
     spectrum = modulate(phi, A)
+    freqs = np.array([t.freq for t in phi.terms], dtype=np.int64).reshape(-1, d * phi.clusters)
     sliced_total = 0.0 + 0.0j
     modulated_total = 0.0 + 0.0j
     bound = 0.0
@@ -484,19 +480,12 @@ def duality_transfer_check(phi: EkSpaceElement, gammas, A):
         sliced_total += inner_product(
             ek_to_trig_poly(sliced_multiplier_apply(j, phi)), gamma_poly
         )
+        partners = _lookup(gamma_poly.freqs, freqs)
         gap_sq = 0.0
-        for mt in spectrum.terms:
-            t = mt.term
-            approx = modulated_riesz_multiplier(j, mt.scaled)
-            if t.m == j - 1:
-                lm = t.freq[t.k * d + t.m]
-                exact = -1j * float((lm > 0) - (lm < 0))
-            else:
-                exact = 0.0 + 0.0j
-            partner = gamma_poly.terms.get(t.freq)
-            if partner is not None:
-                modulated_total += approx * complex(np.sum(t.coeff * np.conj(partner)))
-            gap_sq += (abs(approx - exact) * float(np.sqrt(np.sum(np.abs(t.coeff) ** 2)))) ** 2
+        for t, row, (approx, gap) in zip(phi.terms, partners, _multiplier_gaps(j, spectrum)):
+            if row >= 0:
+                modulated_total += approx * complex(np.sum(t.coeff * np.conj(gamma_poly.coeffs[row])))
+            gap_sq += gap**2
         gnorm = math.sqrt(max(inner_product(gamma_poly, gamma_poly).real, 0.0))
         bound += math.sqrt(gap_sq) * gnorm
     return sliced_total, modulated_total, bound

@@ -21,6 +21,7 @@ from .coding import (
     coded_shift_blocks,
     duality_transfer_check,
     martingale_decompose,
+    modulate,
     modulation_difference,
     random_ek_element,
 )
@@ -488,6 +489,10 @@ def random_mean_zero_coeffs(depth, seed, value_dim=1):
 # 2-core VM one d = 3 run takes 0.8 s CPU, 53 MB RSS at depth 14; 2.2 s, 110 MB at 16.
 MAX_DUALITY_DEPTH = 16
 
+# Most seeded runs one duality experiment may report: 1000 runs at the defaults
+# (depth 4, d = 2) take 2.6 s CPU on a 2-core VM; each run is bounded by its depth.
+MAX_DUALITY_RUNS = 1000
+
 
 def run_duality_experiment(seed, d=2, depth=4, p=2.0, A=1024, N=1024, c0=None):
     if depth < 1:
@@ -513,45 +518,40 @@ class ModulationDecayResult:
     all_exact_zero: bool
 
 
-# Most bits one modulation sweep may spend on exact powers. Modulating a term
-# forms A^p for each nonzero stacked coordinate p (1-based), about p * bitlen(A)
-# bits, once per direction j and scale A. The time follows this count at
-# 1.3-2.4 ns per bit on a 2-core VM (Python 3.11): at the command's defaults
-# (30 terms, d = 2, nine scales 16 ... 4096) kmax 1024 forms 2.95e9 bits in
-# 4.2 s CPU, so the cap allows about 6-10 s.
-MAX_MODULATION_BITS = 2**32
-
-
-def _modulation_bits(element, A_values):
-    """Bits of the exact powers a sweep over A_values forms; see MAX_MODULATION_BITS."""
-    powers = sum(p for t in element.terms for p, c in enumerate(t.freq, 1) if c)
-    return element.d * powers * sum(A.bit_length() for A in A_values)
+# Most cells one modulation sweep may visit: terms x clusters x d x scales. Each
+# scale modulates every coordinate of every term once and evaluates the d
+# multipliers on the result, at 250-500 ns per cell on a 2-core VM (Python 3.11):
+# the defaults at kmax 4096 (2.2e6 cells) take 0.6 s CPU, a sweep at the cap
+# 1.2 s at d = 2 and about 2 s at d = 64.
+MAX_MODULATION_CELLS = 2**22
 
 
 def modulation_decay_experiment(element: EkSpaceElement | None = None,
                                 A_list=None, seed=1):
     """Aggregate multiplier error against the separation scale, with slope.
 
-    The error for one scale sums modulation_difference over every direction
-    j. The slope is the log-log least-squares fit; it is None when every
-    aggregate vanishes (axis-only spectra). A sweep whose exact powers exceed
-    MAX_MODULATION_BITS raises a ResourceLimitError before it modulates.
+    Each scale modulates the spectrum once; its error sums modulation_difference
+    over every direction j. The slope is the log-log least-squares fit; it is
+    None when every aggregate vanishes (axis-only spectra). A sweep of more than
+    MAX_MODULATION_CELLS cells raises a ResourceLimitError before it modulates.
     """
     if element is None:
         element = random_ek_element(d=2, k_max=2, n_terms=30, seed=seed, max_mag=7)
     if A_list is None:
         A_list = [2**r for r in range(4, 13)]
     A_values = [int(A) for A in A_list]
-    bits = _modulation_bits(element, A_values)
-    if bits > MAX_MODULATION_BITS:
+    cells = len(element.terms) * element.clusters * element.d * len(A_values)
+    if cells > MAX_MODULATION_CELLS:
         raise ResourceLimitError(
-            f"modulating {len(element.terms)} terms at {len(A_values)} scales forms {bits} "
-            f"bits of exact powers, over the cap MAX_MODULATION_BITS = {MAX_MODULATION_BITS}")
+            f"modulating {len(element.terms)} terms of {element.clusters} clusters x d = "
+            f"{element.d} at {len(A_values)} scales visits {cells} cells, over the cap "
+            f"MAX_MODULATION_CELLS = {MAX_MODULATION_CELLS}")
     errors = []
     for A in A_values:
+        spectrum = modulate(element, A)
         total = 0.0
         for j in range(1, element.d + 1):
-            total += modulation_difference(j, element, A).aggregate
+            total += modulation_difference(j, spectrum)
         errors.append(total)
     all_zero = all(e == 0.0 for e in errors)
     if all_zero or len(errors) < 2:

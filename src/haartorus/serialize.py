@@ -56,7 +56,8 @@ def atomic_write_lines(path, lines):
 
 
 def dumps_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Indented, key-sorted JSON text; a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj):
@@ -233,11 +234,11 @@ def read_haar_coeffs(path):
 def trig_poly_to_dict(p: TrigPoly):
     terms = [
         {
-            "freq": [int(x) for x in freq],
-            "re": [float(c.real) for c in coeff],
-            "im": [float(c.imag) for c in coeff],
+            "freq": freq,
+            "re": coeff.real.tolist(),
+            "im": coeff.imag.tolist(),
         }
-        for freq, coeff in sorted(p.terms.items())
+        for freq, coeff in zip(p.freqs.tolist(), p.coeffs)
     ]
     return {
         "schema": SCHEMA_VERSION,
@@ -578,6 +579,8 @@ def norm_estimate_to_dict(est):
 
 
 def duality_report_to_dict(report):
+    """The report as a JSON object. slack_ratio is null when the dyadic pairing is 0:
+    the duality inequality then holds with unbounded slack (the report's ratio is inf)."""
     out = {
         "schema": SCHEMA_VERSION,
         "kind": "duality_report",
@@ -606,6 +609,8 @@ def duality_report_to_dict(report):
         "transfer_within_bound",
     ):
         out[name] = getattr(report, name)
+    if math.isinf(report.slack_ratio):
+        out["slack_ratio"] = None
     out["transfer_sliced"] = [
         report.transfer_sliced.real,
         report.transfer_sliced.imag,

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: routing, exit codes, files, golden mode."""
 
+import hashlib
 import json
 import math
 
@@ -28,8 +29,8 @@ from haartorus.cli import (
     main,
     run,
 )
-from haartorus.coding import MAX_KMAX
-from haartorus.experiments import MAX_GRID
+from haartorus.coding import MAX_DRAW_CELLS
+from haartorus.experiments import MAX_DUALITY_RUNS, MAX_GRID, MAX_MODULATION_CELLS
 from haartorus.serialize import (
     dumps_json,
     haar_coeffs_from_dict,
@@ -116,12 +117,13 @@ class TestExitCodes:
     ], ids=["nan-re", "inf-im"])
     def test_non_finite_ek_element_is_usage_error(self, tmp_path, capsys, re, im):
         path = tmp_path / "e.json"
-        write_json(path, {
+        # json.dumps, not write_json, which refuses to write NaN or infinity
+        path.write_text(json.dumps({
             "schema": 1, "kind": "ek_element", "d": 2, "clusters": 1,
             "value_dim": 1,
             "terms": [{"k": 0, "m": 0, "sign": 1, "freq": [1, 0],
                        "re": re, "im": im}],
-        })
+        }))
         assert main(["code", "modulate", "--input", str(path), "--A", "16"]) \
             == EXIT_USAGE
         captured = capsys.readouterr()
@@ -204,30 +206,64 @@ class TestExitCodes:
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         monkeypatch.setattr(experiments, "modulation_decay_experiment", forbidden)
-        rc = main(["experiment", "modulation", "--kmax", str(MAX_KMAX + 1)])
+        kmax = MAX_DRAW_CELLS // 60  # 30 terms, d = 2: the first kmax past the cap
+        rc = main(["experiment", "modulation", "--kmax", str(kmax)])
         captured = capsys.readouterr()
         assert rc == EXIT_INTERNAL and captured.out == ""
-        assert f"k_max {MAX_KMAX + 1} exceeds the cluster cap MAX_KMAX = 4096" in captured.err
+        assert ("30 terms of d = 2 x 8739 clusters draw 524340 cells, over the cap "
+                "MAX_DRAW_CELLS = 524288") in captured.err
 
-    def test_modulation_beyond_bit_cap_is_internal_error_before_modulating(self, capsys,
-                                                                          monkeypatch):
+    @pytest.mark.parametrize("flags, named", [
+        (["--terms", "87382"], "87382 terms of d = 2 x 3 clusters draw 524292 cells"),
+        (["--d", "5826"], "30 terms of d = 5826 x 3 clusters draw 524340 cells"),
+    ], ids=["terms", "d"])
+    def test_terms_or_d_beyond_draw_cap_are_internal_errors_before_any_draw(
+            self, capsys, monkeypatch, flags, named):
         def forbidden(*args, **kwargs):
             raise AssertionError("the capped work started")
 
-        monkeypatch.setattr(experiments, "modulation_difference", forbidden)
-        rc = main(["experiment", "modulation", "--kmax", "2048"])
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(experiments, "modulation_decay_experiment", forbidden)
+        rc = main(["experiment", "modulation", *flags])
         captured = capsys.readouterr()
         assert rc == EXIT_INTERNAL and captured.out == ""
-        assert "over the cap MAX_MODULATION_BITS = 4294967296" in captured.err
+        assert named in captured.err and "MAX_DRAW_CELLS = 524288" in captured.err
 
-    def test_cheap_modulation_at_the_kmax_cap_runs(self, capsys, monkeypatch):
-        # few terms and small scales keep the exact powers far below the bit cap
-        monkeypatch.setattr(experiments, "modulation_difference",
-                            lambda j, e, A: coding.ModulationDifference((), 1.0 / A))
-        rc = main(["experiment", "modulation", "--kmax", str(MAX_KMAX), "--terms", "3",
+    def test_modulation_beyond_cell_cap_is_internal_error_before_modulating(self, capsys,
+                                                                           monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        monkeypatch.setattr(experiments, "modulate", forbidden)
+        monkeypatch.setattr(coding, "modulate", forbidden)
+        # 3 terms of 4097 clusters, d = 2: 24,582 cells per scale
+        scales = MAX_MODULATION_CELLS // 24582 + 1
+        rc = main(["experiment", "modulation", "--kmax", "4096", "--terms", "3",
+                   "--A-list", ",".join(["16"] * scales)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL and captured.out == ""
+        assert (f"modulating 3 terms of 4097 clusters x d = 2 at {scales} scales visits "
+                f"{24582 * scales} cells, over the cap MAX_MODULATION_CELLS = 4194304"
+                in captured.err)
+
+    def test_cheap_modulation_at_the_kmax_cap_runs(self, capsys):
+        # kmax 4096, the largest the former cluster cap admitted, with few terms and scales
+        rc = main(["experiment", "modulation", "--kmax", "4096", "--terms", "3",
                    "--A-list", "16,32"])
         assert rc == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["A_values"] == [16, 32]
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["A_values"] == [16, 32] and obj["slope"] < 0.0
+
+    def test_duality_runs_beyond_cap_are_internal_error_before_any_run(self, capsys,
+                                                                       monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        monkeypatch.setattr(experiments, "run_duality_experiment", forbidden)
+        rc = main(["experiment", "duality", "--runs", str(MAX_DUALITY_RUNS + 1)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL and captured.out == ""
+        assert "1001 runs exceed MAX_DUALITY_RUNS = 1000" in captured.err
 
     @pytest.mark.parametrize("flags, named", [
         (["--operator", "hilbert", "--cutoff", str(MAX_GRID // 8 + 1)],
@@ -403,6 +439,29 @@ class TestCodeCommands:
         assert obj["all_distinct"] is True
         assert main(["code", "modulate", "--input", str(src), "--A", "2"]) \
             == EXIT_USAGE
+
+    # sha256 of `code modulate` output on seeded elements, taken before the exact
+    # stacked integers were formed on demand; A = 10^400 is beyond the float range
+    MODULATE_PINS = {
+        ("d2", "16"): "d9c30eac53527210060edbe9e1459250028538db5cf3a79b7d7bea80bf388cd1",
+        ("d2", "1024"): "5d143a65853deacac67cdd19ca5e419c7b6ea2935a27f2fad175d48148febef4",
+        ("d2", "1" + "0" * 400): "dda1b00dd2d1121f41d1c8edce4b34c6e12a857c9fdd5a10f119f9a2dfc45e61",
+        ("d3", "16"): "57a444b5dd2ac7b44d1e7576e0ed6b482eaff7a9da651330d0e06be9bac655df",
+        ("d3", "1024"): "1583f68caf4d3ab03751960466a4585cf3b7627b9e482274b31f88b804e0329f",
+    }
+    MODULATE_ELEMENTS = {
+        "d2": dict(d=2, k_max=2, n_terms=30, seed=5, max_mag=7),
+        "d3": dict(d=3, k_max=3, n_terms=20, seed=9, max_mag=7, value_dim=2),
+    }
+
+    @pytest.mark.parametrize("name, A", sorted(MODULATE_PINS),
+                             ids=lambda v: v if len(v) < 8 else "1e400")
+    def test_modulate_bytes_pinned(self, tmp_path, capsys, name, A):
+        src = tmp_path / "element.json"
+        write_ek_element(src, random_ek_element(**self.MODULATE_ELEMENTS[name]))
+        assert main(["code", "modulate", "--input", str(src), "--A", A]) == EXIT_OK
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == self.MODULATE_PINS[name, A]
 
     def test_decay_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

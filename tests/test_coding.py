@@ -296,7 +296,55 @@ class TestEkSpace:
         assert a.max_frequency() <= 7
 
 
+def ref_stacked(term, d, clusters, A):
+    """Exact stacked integers: coordinate u is sum over clusters s of coef * A^(s*d + u + 1)."""
+    return tuple(sum(term.freq[s * d + u] * A ** (s * d + u + 1) for s in range(clusters))
+                 for u in range(d))
+
+
+# float.hex of (sliced, modulated, bound) from duality_transfer_check at A = 1024 for
+# the spectrum and partners of a seeded duality run, taken before modulation ran on floats
+PINNED_TRANSFERS = [
+    (1, 2, ('-0x1.9249520ce34fdp+3', '0x1.5d92b4e9c2a56p+0'), ('-0x1.922e03089b680p+3', '0x1.5ced88e3dbe68p+0'), '0x1.ae6d311da264dp-7'),
+    (1, 3, ('0x1.e7bb6153ab210p-2', '0x1.70fef124f64f5p+1'), ('0x1.edb0d14dc4b25p-2', '0x1.71a31704dd959p+1'), '0x1.32a105cc23538p-6'),
+    (2, 2, ('-0x1.19e2695199018p+2', '0x1.53db22ea07b91p+3'), ('-0x1.19d250b1be5fap+2', '0x1.53b440d4d9db2p+3'), '0x1.20f4bbdefff91p-5'),
+    (2, 3, ('-0x1.22a6d8a0ec38ap+3', '0x1.9987c1093be27p+0'), ('-0x1.229acb803b077p+3', '0x1.96b286595ad3ap+0'), '0x1.a23dd21b8207cp-5'),
+    (3, 2, ('-0x1.b17c4e0d7e1a2p+2', '-0x1.7f6514afb62e5p+0'), ('-0x1.b1d4a8d7ff298p+2', '-0x1.7fca7e87bf412p+0'), '0x1.b96fe6b1d0b44p-7'),
+    (3, 3, ('0x1.d7b41b072ca4cp+2', '0x1.4fb01ddc343c4p+2'), ('0x1.d7a9cad291bfcp+2', '0x1.4fc6e75e0f9c8p+2'), '0x1.4c8d94193ddc6p-6'),
+    (11, 2, ('-0x1.148f8de484c54p+2', '-0x1.0b28a0c04867ep+2'), ('-0x1.14b2c58d08ab4p+2', '-0x1.0ae286ec3a14dp+2'), '0x1.cc8edba120ec7p-5'),
+    (11, 3, ('0x1.745e60977a003p+1', '0x1.58048e0dafe12p+0'), ('0x1.745092e42b397p+1', '0x1.57aa6bee8de47p+0'), '0x1.27bddd2c00067p-6'),
+]
+
+
 class TestModulation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stacked_equals_exact_power_oracle(self, data):
+        d = data.draw(st.integers(1, 4))
+        k_max = data.draw(st.integers(0, 4))
+        max_mag = data.draw(st.integers(1, 9))
+        n_terms = data.draw(st.integers(0, min(8, (2 * max_mag + 1) ** ((k_max + 1) * d) - 1)))
+        e = random_ek_element(d=d, k_max=k_max, n_terms=n_terms,
+                              seed=data.draw(st.integers(0, 2**16)), max_mag=max_mag)
+        A = data.draw(st.one_of(st.integers(2 * max_mag + 1, 2**12),
+                                st.integers(2**60, 2**200), st.just(10**400)))
+        spectrum = modulate(e, A)
+        for mt, t in zip(spectrum.terms, e.terms):
+            stacked = mt.stacked
+            assert stacked == ref_stacked(t, d, e.clusters, A)
+            assert all(type(x) is int for x in stacked)
+
+    @pytest.mark.parametrize("seed, d, sliced, modulated, bound", PINNED_TRANSFERS)
+    def test_transfer_triple_pinned_bit_for_bit(self, seed, d, sliced, modulated, bound):
+        from haartorus.experiments import _partner_element
+
+        phi = random_ek_element(d=d, k_max=1, n_terms=8, seed=seed, max_mag=5)
+        gammas = [_partner_element(phi, seed + 101 * j) for j in range(1, d + 1)]
+        s, m, b = duality_transfer_check(phi, gammas, 1024)
+        assert (s.real.hex(), s.imag.hex()) == sliced
+        assert (m.real.hex(), m.imag.hex()) == modulated
+        assert b.hex() == bound
+
     def test_single_cluster_worked_example(self):
         e = make_ek_element(2, 1, [(0, 0, 1, (1, 0), 1.0)])
         spectrum = modulate(e, 100)
@@ -333,18 +381,18 @@ class TestModulation:
             (0, 0, -1, (-1, 0), 2.0),
         ])
         for j in (1, 2):
-            assert modulation_difference(j, e, 64).aggregate == 0.0
+            assert modulation_difference(j, modulate(e, 64)) == 0.0
 
     def test_difference_linear_in_coefficients(self):
         specs = [(0, 1, 1, (2, 3), 1.0 + 0.5j), (0, 0, -1, (-4, 0), 0.75)]
         doubled = [(k, m, s, f, 2.0 * c) for (k, m, s, f, c) in specs]
-        base = modulation_difference(1, make_ek_element(2, 1, specs), 128)
-        twice = modulation_difference(1, make_ek_element(2, 1, doubled), 128)
-        assert twice.aggregate == 2.0 * base.aggregate
+        base = modulation_difference(1, modulate(make_ek_element(2, 1, specs), 128))
+        twice = modulation_difference(1, modulate(make_ek_element(2, 1, doubled), 128))
+        assert twice == 2.0 * base
 
     def test_difference_decays_like_one_over_scale(self):
         e = random_ek_element(seed=3)
-        errs = [modulation_difference(1, e, A).aggregate for A in (64, 128, 256)]
+        errs = [modulation_difference(1, modulate(e, A)) for A in (64, 128, 256)]
         assert errs[0] > errs[1] > errs[2] > 0.0
         for a, b in zip(errs, errs[1:]):
             assert 0.35 <= b / a <= 0.65

@@ -347,31 +347,51 @@ class TestModulationDecay:
     def test_deterministic(self):
         assert modulation_decay_experiment() == modulation_decay_experiment()
 
-    def test_sweep_beyond_the_bit_cap_raises_before_modulating(self, monkeypatch):
-        from haartorus import experiments
+    def test_sweep_modulates_once_per_scale(self, monkeypatch):
+        from haartorus import coding, experiments
+
+        calls = []
+        original = coding.modulate
+
+        def counted(e, A):
+            calls.append(A)
+            return original(e, A)
+
+        # wherever a module binds modulate, so the count holds for any caller
+        monkeypatch.setattr(coding, "modulate", counted)
+        monkeypatch.setattr(experiments, "modulate", counted, raising=False)
+        element = make_ek_element(3, 2, [(1, 2, 1, (1, -2, 3, 0, 4, 5), 1.0),
+                                         (0, 1, -1, (2, 3, 0, 0, 0, 0), 2.0)])
+        result = modulation_decay_experiment(element, [16, 64, 256])
+        assert calls == [16, 64, 256]
+        assert len(result.aggregate_errors) == 3
+
+    def test_sweep_beyond_the_cell_cap_raises_before_modulating(self, monkeypatch):
+        from haartorus import coding, experiments
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the capped work started")
 
-        # one nonzero coordinate p = 220 at 10^4 scales of 1001 bits: 2 * 220 * 10010000 bits
+        # one term of 110 clusters, d = 2, at 19066 scales: 4,194,520 cells
         freq = [0] * 220
         freq[-1] = 1
         e = make_ek_element(2, 110, [(109, 1, 1, freq, 1.0)])
-        monkeypatch.setattr(experiments, "modulation_difference", forbidden)
-        with pytest.raises(ResourceLimitError, match="forms 4404400000 bits of exact powers, "
-                           "over the cap MAX_MODULATION_BITS = 4294967296"):
-            modulation_decay_experiment(e, [2**1000] * 10**4)
+        monkeypatch.setattr(experiments, "modulate", forbidden)
+        monkeypatch.setattr(coding, "modulate", forbidden)
+        with pytest.raises(ResourceLimitError, match="at 19066 scales visits 4194520 cells, "
+                           "over the cap MAX_MODULATION_CELLS = 4194304"):
+            modulation_decay_experiment(e, [2**1000] * 19066)
 
-    def test_bit_cap_admits_a_sweep_at_the_cap(self, monkeypatch):
+    def test_cell_cap_admits_a_sweep_at_the_cap(self, monkeypatch):
         from haartorus import experiments
 
-        # nonzero coordinates p = 1, 2, 3 and 6 (two terms), d = 2, bitlen(16) + bitlen(64) = 12
+        # two terms of three clusters, d = 2, at two scales: 24 cells
         e = make_ek_element(2, 3, [(1, 0, 1, (1, -2, 3, 0, 0, 0), 1.0),
                                    (2, 1, -1, (0, 0, 0, 0, 0, 5), 2.0)])
-        monkeypatch.setattr(experiments, "MAX_MODULATION_BITS", 2 * 12 * 12)
+        monkeypatch.setattr(experiments, "MAX_MODULATION_CELLS", 24)
         want = modulation_decay_experiment(e, [16, 64])
-        monkeypatch.setattr(experiments, "MAX_MODULATION_BITS", 2 * 12 * 12 - 1)
-        with pytest.raises(ResourceLimitError, match="forms 288 bits"):
+        monkeypatch.setattr(experiments, "MAX_MODULATION_CELLS", 23)
+        with pytest.raises(ResourceLimitError, match="visits 24 cells"):
             modulation_decay_experiment(e, [16, 64])
         assert want.A_values == (16, 64) and len(want.aggregate_errors) == 2
 

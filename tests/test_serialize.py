@@ -164,6 +164,41 @@ class TestJsonSchemas:
         assert text.endswith("\n")
 
 
+def ref_trig_poly_terms(p):
+    """The term list as written from the sorted dict view of the poly."""
+    return [{"freq": [int(x) for x in freq], "re": [float(c.real) for c in coeff],
+             "im": [float(c.imag) for c in coeff]} for freq, coeff in sorted(p.terms.items())]
+
+
+class TestStrictJson:
+    def test_poly_writer_equals_the_sorted_dict_form(self):
+        p = TrigPoly(2, 1, {(3, -1): np.array([1.5 - 0.0j, -0.0 + 2j]),
+                            (-2, 5): np.array([0.25j, 1e-300]),
+                            (0, 0): np.array([-1.0, 0.0])}, value_dim=2)
+        obj = trig_poly_to_dict(p)
+        assert dumps_json(obj) == dumps_json({**obj, "terms": ref_trig_poly_terms(p)})
+
+    def test_non_finite_values_are_refused(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                dumps_json({"x": bad})
+
+    def test_duality_report_with_zero_pairing_writes_null_slack(self, golden_c0):
+        from haartorus.experiments import duality_chain_check
+        from haartorus.serialize import duality_report_to_dict
+
+        def coeffs(entries):
+            z = np.zeros(1)
+            return HaarCoeffs(3, 1, z, z.copy(), {k: np.array([v]) for k, v in entries.items()})
+
+        f = coeffs({(3, 0): 1.0, (2, 0): 2.0})
+        g = coeffs({(3, 6): 1.0, (2, 3): -1.0})
+        report = duality_chain_check(f, [g, g], 2, c0=golden_c0)
+        assert report.dyadic_pairing == 0.0 and report.slack_ratio == float("inf")
+        obj = json.loads(dumps_json(duality_report_to_dict(report)))
+        assert obj["slack_ratio"] is None and obj["inequality_holds"] is True
+
+
 class TestFileHandling:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "out" / "data.json"
