@@ -22,6 +22,16 @@ sys.path.insert(0, str(REPO / "src"))
 
 from haartorus import experiments, serialize  # noqa: E402
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+
+def minor_faults():
+    """Page faults of this process served without disk I/O; 0 where unknown."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
 
 def lemma_battery(out_dir, dmax, cutoff):
     # truncation residual scales like N**-0.5; 5e-3 is the budget at N = 2**14
@@ -104,9 +114,12 @@ def main(argv=None):
     )
     for name, battery in batteries:
         print(f"{name}:")
-        start = time.perf_counter()
+        start, cpu, faults = time.perf_counter(), time.process_time(), minor_faults()
         battery()
-        print(f"  done in {time.perf_counter() - start:.1f}s")
+        line = f"  done in {time.perf_counter() - start:.1f}s"
+        if resource:
+            line += f", {time.process_time() - cpu:.1f}s CPU, {minor_faults() - faults} minor faults"
+        print(line)
     print(f"reports written to {out_dir}/")
     return 0
 

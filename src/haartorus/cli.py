@@ -9,6 +9,8 @@ byte.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -157,23 +159,37 @@ def _run_code_check_ek(config):
     return EXIT_OK
 
 
+def _decimal_digits(n):
+    """Decimal digits of abs(n) (0 for n = 0), without the text Python may refuse to make."""
+    n = abs(n)
+    digits = int(n.bit_length() * math.log10(2)) + 1  # exact or one too many
+    return digits - (n < 10 ** (digits - 1))
+
+
 def _run_code_modulate(config):
     e = serialize.read_ek_element(config.input_path)
     spectrum = coding.modulate(e, config.params["A"])
+    stacked = [mt.stacked for mt in spectrum.terms]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    widest = max((_decimal_digits(x) for row in stacked for x in row), default=0)
+    if limit and widest > limit:
+        raise InvalidInputError(
+            f"at A = {spectrum.A} a stacked frequency has {widest} decimal digits, more "
+            f"than Python writes as text ({limit}, sys.get_int_max_str_digits())")
     terms = [
         {
             "k": mt.term.k,
             "m": mt.term.m,
             "sign": mt.term.sign,
             "freq": [int(x) for x in mt.term.freq],
-            "stacked": [int(x) for x in mt.stacked],
+            "stacked": [int(x) for x in row],
             "leading_power": mt.leading_power,
             "scaled": [
                 [[int(off), int(coef)] for off, coef in entry]
                 for entry in mt.scaled.entries
             ],
         }
-        for mt in spectrum.terms
+        for mt, row in zip(spectrum.terms, stacked)
     ]
     _emit_json(
         config,
@@ -371,6 +387,7 @@ def _sign_arg(text):
     raise argparse.ArgumentTypeError(f"sign must be + or -, got {text!r}")
 
 
+@functools.cache  # some 3 ms per build; run() routes the handlers, so none is bound here
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="haartorus",

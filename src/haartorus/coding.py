@@ -297,8 +297,22 @@ def sliced_multiplier_apply(j, e: EkSpaceElement):
 # Most frequency cells a random element may draw: n_terms x d x (k_max + 1), the
 # coordinates of its terms. At the defaults of `experiment modulation` (30 terms,
 # d = 2) kmax 4096 draws 245,820 cells in 0.55 s CPU on a 2-core VM (Python 3.11);
-# d = 1 costs most per cell, about 3 us, and draws at the cap in 1.5 s.
+# 30 terms at d = 1 draw at the cap in 1.5-1.9 s. One-cell terms (d = 1, k_max = 0)
+# cost most per cell, about 28 us: 2**19 of them take some 15 s.
 MAX_DRAW_CELLS = 2**19
+
+# Most draws a random element may expect to make. A draw that repeats a frequency
+# is thrown away, so asking for n of the M reachable frequencies costs
+# M (H_M - H_{M-n}) uniform draws, n ln n when n = M; the draw is not uniform, so
+# this is a lower bound. At d = 1, k_max = 0 all 46,000 frequencies of max-mag
+# 23,000 (520,427 expected draws) take 11.8 s CPU on the VM above.
+_MAX_EXPECTED_DRAWS = 2**19
+
+
+def _expected_draws(n, reachable):
+    """Expected uniform draws until n distinct of `reachable` values are seen."""
+    m = float(min(reachable, 2**53))  # above 2**53 the sum is n to within one draw
+    return float(np.sum(m / (m - np.arange(n))))
 
 
 def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
@@ -306,7 +320,8 @@ def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
 
     More terms than the (2 max_mag + 1)^((k_max+1) d) - 1 nonzero frequencies, and
     d < 1, k_max < 0, max_mag < 1 or n_terms < 0, are rejected before the first draw,
-    as are more than MAX_DRAW_CELLS cells n_terms * d * (k_max + 1) (a ResourceLimitError).
+    as are more than MAX_DRAW_CELLS cells n_terms * d * (k_max + 1) or more than 2**19
+    expected draws (a ResourceLimitError).
     """
     if d < 1 or k_max < 0 or max_mag < 1 or n_terms < 0:
         raise InvalidInputError(f"need d >= 1, k_max >= 0, max_mag >= 1, n_terms >= 0; got d = "
@@ -320,6 +335,10 @@ def random_ek_element(d=2, k_max=2, n_terms=30, seed=1, max_mag=7, value_dim=1):
     if n_terms > count:
         raise InvalidInputError(f"{n_terms} distinct frequencies asked for, but only {count} are "
                                 f"nonzero with magnitudes <= {max_mag}")
+    draws = _expected_draws(n_terms, count)
+    if draws > _MAX_EXPECTED_DRAWS:
+        raise ResourceLimitError(f"{n_terms} distinct of {count} frequencies take {draws:.0f} "
+                                 f"expected draws, over the cap of {_MAX_EXPECTED_DRAWS}")
     rng = np.random.default_rng(seed)
     clusters = k_max + 1
     seen = set()

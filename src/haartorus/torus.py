@@ -140,7 +140,9 @@ def _merge(freqs, coeffs):
 
     `coeffs` may carry any trailing shape. Rows that already ascend skip the
     sort, and rows that strictly ascend skip the merge; the result has the
-    same bits either way.
+    same bits either way. Each real and imaginary part sums with one
+    `np.bincount`, which adds the rows of a run to 0.0 in input order: the
+    order, and so the bits, of adding them one at a time.
     """
     freqs, order, steps = _sort_plan(freqs)
     if order is not None:
@@ -148,9 +150,11 @@ def _merge(freqs, coeffs):
     if (steps > 0).all():
         return freqs, coeffs + 0.0  # as the merge adds a lone row to zero: -0.0 becomes 0.0
     start = _run_starts(steps)
-    merged = np.zeros((int(start.sum()),) + coeffs.shape[1:], dtype=np.complex128)
-    np.add.at(merged, np.cumsum(start) - 1, coeffs)
-    return freqs[start], merged
+    run, runs = np.cumsum(start) - 1, int(start.sum())
+    parts = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64)
+    merged = np.stack([np.bincount(run, weights=column, minlength=runs)
+                       for column in parts.reshape(len(run), -1).T], axis=1)
+    return freqs[start], merged.view(np.complex128).reshape((runs,) + coeffs.shape[1:])
 
 
 def _canonical(freqs, coeffs):

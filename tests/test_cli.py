@@ -26,6 +26,7 @@ from haartorus.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
     main,
     run,
 )
@@ -51,6 +52,16 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def test_parser_is_built_once_and_output_is_unchanged(capsys):
+    build_parser.cache_clear()
+    outs = []
+    for _ in range(2):
+        assert main(["torus", "squarewave", "--cutoff", "7", "--d", "2"]) == EXIT_OK
+        outs.append(capsys.readouterr().out.encode())
+    assert build_parser.cache_info().misses == 1
+    assert outs[0] == outs[1] and outs[0]
 
 
 class TestExitCodes:
@@ -228,6 +239,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == EXIT_INTERNAL and captured.out == ""
         assert named in captured.err and "MAX_DRAW_CELLS = 524288" in captured.err
+
+    def test_draw_beyond_the_expected_draws_cap_is_internal_error_before_any_draw(
+            self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the capped work started")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(experiments, "modulation_decay_experiment", forbidden)
+        # every one of the 50,000 nonzero frequencies of magnitude <= 25,000: 50,000 cells,
+        # inside MAX_DRAW_CELLS, but some 570,000 expected draws
+        rc = main(["experiment", "modulation", "--d", "1", "--kmax", "0", "--terms", "50000",
+                   "--max-mag", "25000"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL and captured.out == ""
+        assert ("50000 distinct of 50000 frequencies take 569850 expected draws, over the "
+                "cap of 524288") in captured.err
 
     def test_modulation_beyond_cell_cap_is_internal_error_before_modulating(self, capsys,
                                                                            monkeypatch):
@@ -462,6 +489,16 @@ class TestCodeCommands:
         assert main(["code", "modulate", "--input", str(src), "--A", A]) == EXIT_OK
         got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == self.MODULATE_PINS[name, A]
+
+    def test_modulate_beyond_the_int_to_text_limit_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "element.json"
+        write_ek_element(src, random_ek_element(**self.MODULATE_ELEMENTS["d3"]))
+        A = "1" + "0" * 400  # its stacked frequencies reach A^11, 4,401 digits
+        assert main(["code", "modulate", "--input", str(src), "--A", A]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"at A = {A} a stacked frequency has 4401 decimal digits, more than Python "
+                "writes as text (4300, sys.get_int_max_str_digits())") in captured.err
 
     def test_decay_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

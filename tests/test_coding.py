@@ -1,6 +1,7 @@
 """Sign-toss coding, martingale blocks, constrained spectra, modulation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from haartorus import (
     sliced_multiplier_apply,
     apply_sj,
 )
+from haartorus.coding import _expected_draws
+from haartorus.errors import ResourceLimitError
 
 
 def block_table(blocks):
@@ -243,6 +246,31 @@ class TestEkSpace:
     def test_random_element_rejects_bounds_before_drawing(self, kwargs, named):
         with pytest.raises(InvalidInputError, match=named):
             random_ek_element(**kwargs)
+
+    @pytest.mark.parametrize("n, reachable", [(0, 8), (1, 8), (8, 8), (5, 8), (30, 1000),
+                                              (46000, 46000), (30, 11390624)])
+    def test_expected_draws_is_the_coupon_collector_sum(self, n, reachable):
+        exact = sum(Fraction(reachable, reachable - i) for i in range(n))
+        assert _expected_draws(n, reachable) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_expected_draws_past_float_precision_is_the_term_count(self):
+        assert _expected_draws(1000, 15 ** 40) == pytest.approx(1000.0, abs=1e-9)
+
+    @pytest.mark.parametrize("terms, max_mag, refused", [
+        (46000, 23000, False),  # 520,427 expected draws
+        (46300, 23150, False),  # 524,122
+        (46400, 23200, True),  # 525,354
+        (40000, 23000, False),  # 93,693: the same frequencies, far fewer repeats
+    ])
+    def test_expected_draws_cap_is_checked_before_the_first_draw(self, monkeypatch, terms,
+                                                                 max_mag, refused):
+        def reached(*args, **kwargs):
+            raise AssertionError("reached the draw")
+
+        monkeypatch.setattr(np.random, "default_rng", reached)
+        raised = ResourceLimitError if refused else AssertionError
+        with pytest.raises(raised):
+            random_ek_element(d=1, k_max=0, n_terms=terms, max_mag=max_mag)
 
     def test_violation_support_beyond_cluster(self):
         e = make_ek_element(2, 2, [(0, 0, 1, (1, 0, 3, 0), 1.0)])

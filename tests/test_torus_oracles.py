@@ -4,12 +4,13 @@ The references below walk `TrigPoly.terms` one frequency at a time, the way
 the torus layer computed before it moved to frequency and coefficient
 matrices. Coefficientwise multipliers must agree exactly; results that sum
 several terms agree within REL_TOL times the sum of the absolute values that
-enter the sum. The canonical form, the row lookup and the arc integrals are
-also checked bit for bit against the forms that sort every input and divide
-by ik in complex arithmetic. The producers that hand TrigPoly rows already in
-order, the shared quarter-arc merge and the shared probe runs of
-`bundle_poly_inner` are checked bit for bit against the forms that
-canonicalize every poly, project arc by arc and look the probe up per arc.
+enter the sum. The merge, the canonical form, the row lookup and the arc
+integrals are also checked bit for bit against the forms that sort every
+input, add duplicate rows with np.add.at and divide by ik in complex
+arithmetic. The producers that hand TrigPoly rows already in order, the
+shared quarter-arc merge and the shared probe runs of `bundle_poly_inner`
+are checked bit for bit against the forms that canonicalize every poly,
+project arc by arc and look the probe up per arc.
 """
 
 import math
@@ -28,6 +29,7 @@ from haartorus.torus import (
     TrigPoly,
     _canonical,
     _lookup,
+    _merge,
     _multiplier,
     arc_average,
     arc_averages,
@@ -50,7 +52,7 @@ REL_TOL = 1e-13
 # dict references
 
 
-def ref_merge(d, clusters, freqs, coeffs, value_dim):
+def ref_dict_merge(d, clusters, freqs, coeffs, value_dim):
     terms = {}
     for freq, coeff in zip(map(tuple, freqs.tolist()), coeffs):
         terms[freq] = terms.get(freq, np.zeros(value_dim, dtype=np.complex128)) + coeff
@@ -132,13 +134,19 @@ def ref_sorted_runs(freqs):
     return order, start
 
 
+def ref_merge(freqs, coeffs):
+    """The merge that sorts every input and adds each row into its run with np.add.at."""
+    order, start = ref_sorted_runs(freqs)
+    merged = np.zeros((int(start.sum()),) + coeffs.shape[1:], dtype=np.complex128)
+    np.add.at(merged, np.cumsum(start) - 1, coeffs[order])
+    return freqs[order[start]], merged
+
+
 def ref_canonical(freqs, coeffs):
     """The canonical form that sorts every input."""
-    order, start = ref_sorted_runs(freqs)
-    merged = np.zeros((int(start.sum()), coeffs.shape[1]), dtype=np.complex128)
-    np.add.at(merged, np.cumsum(start) - 1, coeffs[order])
+    freqs, merged = ref_merge(freqs, coeffs)
     keep = merged.any(axis=1)
-    return freqs[order[start]][keep], merged[keep]
+    return freqs[keep], merged[keep]
 
 
 def ref_lookup(keys, rows):
@@ -236,7 +244,7 @@ class TestAgainstDictReferences:
     @settings(max_examples=60, deadline=None)
     def test_canonical_form_is_the_sorted_dict_merge(self, rows):
         p = make(rows)
-        want = ref_merge(rows[0], rows[1], rows[3], rows[4], rows[2])
+        want = ref_dict_merge(rows[0], rows[1], rows[3], rows[4], rows[2])
         assert list(p.terms) == sorted(want)
         for f, c in want.items():
             assert np.array_equal(p.terms[f], c)
@@ -293,6 +301,34 @@ def assert_same_bits(got, want):
     assert (got[1].view(np.uint64) == want[1].view(np.uint64)).all()  # signed zeros count
 
 
+# finite parts whose sums of up to 40 stay finite, with signed zeros and subnormals
+MERGE_PART = st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]))
+
+
+@st.composite
+def merge_case(draw):
+    """(freqs, coeffs) for `_merge`: rows in any order, from no row to many runs.
+
+    A frequency range of one value makes every row one run; wider ranges give
+    many runs. Coefficients are (rows, value_dim) or, as the quarter-arc
+    projection merges them, (rows, 4, value_dim), their parts picked by a
+    seeded generator from a drawn pool of values.
+    """
+    rows, dim, value_dim = draw(st.integers(0, 40)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = draw(st.sampled_from((0, 1, 3, 50)))
+    pool = draw(st.lists(MERGE_PART, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = rng.integers(-width, width + 1, size=(rows, dim))
+    how = draw(st.sampled_from(("as drawn", "ascending", "descending")))
+    if how != "as drawn":
+        up = np.lexsort(freqs.T[::-1])
+        freqs = freqs[up if how == "ascending" else up[::-1]]
+    shape = (rows, value_dim) if draw(st.booleans()) else (rows, 4, value_dim)
+    parts = rng.choice(np.array(pool), size=shape + (2,))
+    return freqs, parts.view(np.complex128)[..., 0]
+
+
 def row_orders(freqs):
     """Rows as drawn, ascending (repeats side by side, as drawn) and descending."""
     up = np.lexsort(freqs.T[::-1])
@@ -323,6 +359,12 @@ class TestOrderAwareCanonicalForm:
             for order in row_orders(freqs):
                 f, c = freqs[order], coeffs[order]
                 assert_same_bits(_canonical(f, c), ref_canonical(f, c))
+
+    @given(merge_case())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_equals_the_add_at_merge(self, case):
+        freqs, coeffs = case
+        assert_same_bits(_merge(freqs, coeffs), ref_merge(freqs, coeffs))
 
     @given(poly_rows(), st.data())
     @settings(max_examples=100, deadline=None)
